@@ -11,22 +11,22 @@ Exit codes: 0 converged, 1 input/usage error, 2 solver failed to converge.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
-import time
 from dataclasses import dataclass, asdict, field
 
 import numpy as np
 
+from . import preconditioner
 from .diagnostics import dense_schur, emit_spectrum_csv, spectrum, DENSE_GUARD
 from .krylov import cg, gmres
 from .lowrank import arnoldi, build_correction
 from .partition import classify_and_reorder, partition_graph, save_assignment_json
-from .preconditioner import PslrConfig, PslrPreconditioner, _fill_stats
+from .preconditioner import PslrConfig, PslrPreconditioner
 from .problems import parse_problem
-from .schur import apply_Err, build_schur_context
+# unused here; kept because perfbench/spans.py wraps both names on this module
+from .schur import apply_Err, build_schur_context  # noqa: F401
 from .sparse import read_matrix_market
 
 
@@ -111,6 +111,12 @@ def _load_matrix(manifest: RunManifest):
     return parse_problem(manifest.problem)[1]
 
 
+def _config(manifest: RunManifest, **changes) -> PslrConfig:
+    settings = dict(num_subdomains=manifest.s, series_degree=manifest.m, rank=manifest.rank,
+                    droptol=manifest.droptol, seed=manifest.seed)
+    return PslrConfig(**{**settings, **changes})
+
+
 def _random_rhs(A, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     return A @ rng.standard_normal(A.shape[0])
@@ -159,26 +165,12 @@ def _emit(text: str, out_path):
 
 def cmd_solve(manifest: RunManifest) -> int:
     A = _load_matrix(manifest)
-    cfg = PslrConfig(num_subdomains=manifest.s, series_degree=manifest.m,
-                     rank=manifest.rank, droptol=manifest.droptol, seed=manifest.seed)
-    from .preconditioner import build
-    P = build(A, cfg)
+    P = preconditioner.build(A, _config(manifest))
     if manifest.partition_out:
-        spec = partition_graph(A, manifest.s, seed=manifest.seed)
-        save_assignment_json(spec, manifest.partition_out)
+        save_assignment_json(P.system.partition, manifest.partition_out)
     _, report = _solve_with(A, P, manifest)
     _emit(json.dumps(_stats_payload(P, report, manifest), indent=2) + "\n", manifest.out)
     return 0 if report.converged else 2
-
-
-def _build_shared(A, manifest: RunManifest, s: int, droptol: float, seed: int):
-    t0 = time.perf_counter()
-    spec = partition_graph(A, s, seed=seed)
-    system = classify_and_reorder(A, spec)
-    t1 = time.perf_counter()
-    ctx = build_schur_context(system, droptol=droptol)
-    t2 = time.perf_counter()
-    return system, ctx, t1 - t0, t2 - t1
 
 
 SWEEP_COLUMNS = ["axis", "value", "its", "converged", "fill_ilu", "fill_lowrank",
@@ -188,8 +180,9 @@ SWEEP_COLUMNS = ["axis", "value", "its", "converged", "fill_ilu", "fill_lowrank"
 def cmd_sweep(manifest: RunManifest) -> int:
     """Run cmd_solve across one axis (s, m or rank), one CSV row per value.
 
-    m and rank sweeps reuse one partition and one set of ILU factors; the
-    rank sweep additionally reuses a single Arnoldi run truncated per rank.
+    An s sweep builds once per value. m and rank sweeps build once (rank 0,
+    or the largest rank) and derive every row with `recorrected`, reusing the
+    partition and the ILU factors, and on the rank axis the Arnoldi basis.
     """
     A = _load_matrix(manifest)
     axis = manifest.axis
@@ -199,49 +192,19 @@ def cmd_sweep(manifest: RunManifest) -> int:
     if not values:
         raise ValueError("sweep needs at least one axis value")
 
-    rows = []
     if axis == "s":
-        for s in values:
-            sub = RunManifest(**{**manifest.to_dict(), "s": s})
-            from .preconditioner import build
-            cfg = PslrConfig(num_subdomains=s, series_degree=manifest.m,
-                             rank=manifest.rank, droptol=manifest.droptol,
-                             seed=manifest.seed)
-            P = build(A, cfg)
-            _, report = _solve_with(A, P, sub)
-            rows.append((s, P, report))
+        derive = lambda s: preconditioner.build(A, _config(manifest, num_subdomains=s))
+    elif axis == "m":
+        base = preconditioner.build(A, _config(manifest, rank=0))
+        derive = lambda m: base.recorrected(m, manifest.rank)
     else:
-        system, ctx, order_t, ilu_t = _build_shared(A, manifest, manifest.s,
-                                                    manifest.droptol, manifest.seed)
-        if axis == "m":
-            for m in values:
-                t0 = time.perf_counter()
-                corr = build_correction(
-                    *arnoldi(lambda v: apply_Err(ctx, m, v), system.q,
-                             manifest.rank, seed=manifest.seed)[:2])
-                build_t = ilu_t + time.perf_counter() - t0
-                stats = _fill_stats(A, ctx, corr, order_t, build_t)
-                P = PslrPreconditioner(system, ctx, m, corr, stats)
-                _, report = _solve_with(A, P, manifest)
-                rows.append((m, P, report))
-        else:
-            rank_max = max(values)
-            t0 = time.perf_counter()
-            V, H, r = arnoldi(lambda v: apply_Err(ctx, manifest.m, v),
-                              system.q, rank_max, seed=manifest.seed)
-            arnoldi_t = time.perf_counter() - t0
-            for rank in values:
-                rr = min(rank, r)
-                t0 = time.perf_counter()
-                corr = build_correction(V[:, :rr], H[:rr, :rr])
-                build_t = ilu_t + arnoldi_t + time.perf_counter() - t0
-                stats = _fill_stats(A, ctx, corr, order_t, build_t)
-                P = PslrPreconditioner(system, ctx, manifest.m, corr, stats)
-                _, report = _solve_with(A, P, manifest)
-                rows.append((rank, P, report))
+        base = preconditioner.build(A, _config(manifest, rank=max(values)))
+        derive = lambda rank: base.recorrected(manifest.m, rank)
 
     lines = [",".join(SWEEP_COLUMNS)]
-    for value, P, report in rows:
+    for value in values:
+        P = derive(value)
+        _, report = _solve_with(A, P, manifest)
         st = P.stats
         lines.append(",".join(str(x) for x in [
             axis, value, report.iterations, report.converged,
@@ -264,7 +227,7 @@ def cmd_spectrum(manifest: RunManifest) -> int:
     target = manifest.target
     if target not in ("EsC0inv", "Err", "precS"):
         raise ValueError("spectrum target must be one of EsC0inv, Err, precS")
-    spec = partition_graph(A, manifest.s, seed=manifest.seed)
+    spec = partition_graph(A, manifest.s)
     system = classify_and_reorder(A, spec)
     oracle = dense_schur(system)
     if target == "EsC0inv":

@@ -32,12 +32,10 @@ class IluFactor:
         return self.L.nnz + self.U.nnz
 
 
-def ilut(block, droptol: float = 1e-2, fill_cap: int | None = None) -> IluFactor:
+def ilut(block, droptol: float = 1e-2) -> IluFactor:
     """Incomplete LU of a square block with threshold dropping.
 
     With droptol=0 and no pivot repairs this is the exact (no-pivoting) LU.
-    `fill_cap`, if given, additionally keeps only the largest `fill_cap`
-    off-diagonal entries per row of L and of U.
     """
     A = canonical(block)
     if A.shape[0] != A.shape[1]:
@@ -104,12 +102,6 @@ def ilut(block, droptol: float = 1e-2, fill_cap: int | None = None) -> IluFactor
             pivot_repairs += 1
         upper = [(j, w[j]) for j in touched if j > i and abs(w[j]) >= tau and w[j] != 0.0]
 
-        if fill_cap is not None:
-            if len(l_keep) > fill_cap:
-                l_keep = sorted(l_keep, key=lambda t: -abs(t[1]))[:fill_cap]
-            if len(upper) > fill_cap:
-                upper = sorted(upper, key=lambda t: -abs(t[1]))[:fill_cap]
-
         l_keep.sort()
         upper.sort()
         for j, v in l_keep:
@@ -143,28 +135,18 @@ class BlockILU:
     """Independent ILUT factors of the diagonal blocks of a block matrix.
 
     `L` and `U` are the assembled block-diagonal factors, so one pair of
-    triangular solves applies every per-block solve at once.
+    triangular solves applies every per-block solve at once; `nnz` and
+    `pivot_repairs` are summed over the blocks.
     """
 
-    factors: list
-    offsets: np.ndarray
     L: sp.csr_matrix
     U: sp.csr_matrix
-
-    @property
-    def n(self) -> int:
-        return int(self.offsets[-1])
-
-    @property
-    def nnz(self) -> int:
-        return sum(f.nnz for f in self.factors)
-
-    @property
-    def pivot_repairs(self) -> int:
-        return sum(f.pivot_repairs for f in self.factors)
+    n: int
+    nnz: int
+    pivot_repairs: int
 
 
-def factor_blocks(A, block_sizes, droptol: float = 1e-2, fill_cap: int | None = None) -> BlockILU:
+def factor_blocks(A, block_sizes, droptol: float = 1e-2) -> BlockILU:
     """ILUT each diagonal block of A, with blocks given by `block_sizes`."""
     A = canonical(A)
     sizes = np.asarray(block_sizes, dtype=np.int64)
@@ -174,14 +156,15 @@ def factor_blocks(A, block_sizes, droptol: float = 1e-2, fill_cap: int | None = 
     factors = []
     for b in range(sizes.size):
         lo, hi = offsets[b], offsets[b + 1]
-        factors.append(ilut(A[lo:hi, lo:hi], droptol=droptol, fill_cap=fill_cap))
+        factors.append(ilut(A[lo:hi, lo:hi], droptol=droptol))
     if factors:
         L = sp.block_diag([f.L for f in factors], format="csr")
         U = sp.block_diag([f.U for f in factors], format="csr")
     else:
         L = sp.csr_matrix((0, 0))
         U = sp.csr_matrix((0, 0))
-    return BlockILU(factors=factors, offsets=offsets, L=L, U=U)
+    return BlockILU(L=L, U=U, n=A.shape[0], nnz=sum(f.nnz for f in factors),
+                    pivot_repairs=sum(f.pivot_repairs for f in factors))
 
 
 def block_solve(filu: BlockILU, rhs) -> np.ndarray:

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .sparse import Permutation, canonical, extract_submatrix, permute_symmetric
 
@@ -27,7 +28,6 @@ class PartitionSpec:
 
     num_parts: int
     assignment: np.ndarray
-    seed: int = 0
 
 
 @dataclass
@@ -50,6 +50,7 @@ class PartitionedSystem:
     E: sp.csr_matrix = field(repr=False, default=None)
     F: sp.csr_matrix = field(repr=False, default=None)
     C: sp.csr_matrix = field(repr=False, default=None)
+    partition: PartitionSpec = field(repr=False, default=None)   # the split reordered here
 
     @property
     def n(self) -> int:
@@ -70,34 +71,26 @@ def _adjacency(A) -> sp.csr_matrix:
 
 
 def _bfs_order(adj, vertices) -> np.ndarray:
-    """BFS traversal order of the subgraph induced by `vertices`.
+    """BFS traversal order of the subgraph induced by sorted `vertices`.
 
     Roots are the smallest-index unvisited vertices; a disconnected
-    component is exhausted before the traversal restarts.
+    component is exhausted before the traversal restarts.  One compiled BFS
+    runs from a virtual vertex linked to each component's smallest vertex;
+    components never share a queue entry, so a stable sort by component
+    restores the one-component-at-a-time order.
     """
     vertices = np.asarray(vertices)
-    n = adj.shape[0]
-    member = np.zeros(n, dtype=bool)
-    member[vertices] = True
-    visited = np.zeros(n, dtype=bool)
-    order = np.empty(vertices.size, dtype=np.int64)
-    pos = 0
-    for root in vertices:  # vertices sorted, so roots are smallest-index
-        if visited[root]:
-            continue
-        visited[root] = True
-        queue = [root]
-        head = 0
-        while head < len(queue):
-            v = queue[head]
-            head += 1
-            order[pos] = v
-            pos += 1
-            for w in adj.indices[adj.indptr[v]:adj.indptr[v + 1]]:
-                if member[w] and not visited[w]:
-                    visited[w] = True
-                    queue.append(w)
-    return order
+    k = vertices.size
+    sub = adj[vertices][:, vertices]
+    sub.sort_indices()
+    _, labels = connected_components(sub, directed=False)
+    roots = np.unique(labels, return_index=True)[1]   # smallest vertex per label
+    graph = sp.csr_matrix(
+        (np.ones(sub.nnz + roots.size), np.concatenate([sub.indices, np.sort(roots)]),
+         np.append(sub.indptr, sub.nnz + roots.size)), shape=(k + 1, k + 1))
+    order = breadth_first_order(graph, k, directed=True, return_predecessors=False)[1:]
+    order = order[np.argsort(roots[labels[order]], kind="stable")]
+    return vertices[order]
 
 
 def _bisect(adj, vertices, parts, next_id, assignment):
@@ -116,7 +109,7 @@ def _bisect(adj, vertices, parts, next_id, assignment):
     return _bisect(adj, right, right_parts, next_id, assignment)
 
 
-def partition_graph(A, num_parts: int, seed: int = 0) -> PartitionSpec:
+def partition_graph(A, num_parts: int) -> PartitionSpec:
     """Partition A's adjacency graph into `num_parts` balanced subdomains."""
     A = canonical(A)
     if A.shape[0] != A.shape[1]:
@@ -129,7 +122,7 @@ def partition_graph(A, num_parts: int, seed: int = 0) -> PartitionSpec:
     adj = _adjacency(A)
     assignment = np.full(n, -1, dtype=np.int64)
     _bisect(adj, np.arange(n, dtype=np.int64), num_parts, 0, assignment)
-    return PartitionSpec(num_parts=num_parts, assignment=assignment, seed=seed)
+    return PartitionSpec(num_parts=num_parts, assignment=assignment)
 
 
 def classify_and_reorder(A, spec: PartitionSpec) -> PartitionedSystem:
@@ -176,6 +169,7 @@ def classify_and_reorder(A, spec: PartitionSpec) -> PartitionedSystem:
         E=extract_submatrix(reordered, lo, hi) if p and q else sp.csr_matrix((p, q)),
         F=extract_submatrix(reordered, hi, lo) if p and q else sp.csr_matrix((q, p)),
         C=extract_submatrix(reordered, hi, hi) if q else sp.csr_matrix((0, 0)),
+        partition=spec,
     )
 
 

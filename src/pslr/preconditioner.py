@@ -2,6 +2,8 @@
 
 Construction: partition and reorder, ILUT every B_i and C_i diagonal block,
 run Arnoldi on the series residual operator, form the correction core.
+`recorrected` redoes only the last two steps for another series degree or
+rank, on the same partition and factors.
 Application (all in reordered space, split b into interior f / interface g):
 
     y <- g - F B^{-1} f
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict, replace
 
 import numpy as np
 
@@ -34,7 +36,6 @@ class PslrConfig:
     rank: int = 15                   # requested low-rank correction rank
     droptol: float = 1e-2
     seed: int = 0
-    fill_cap: int | None = None      # optional per-row ILUT fill limit
 
     def validate(self):
         if self.num_subdomains < 1:
@@ -66,15 +67,49 @@ class FillStats:
 
 
 class PslrPreconditioner:
-    """Everything the application algorithm needs, immutable once built."""
+    """Everything the application algorithm needs, immutable once built.
+
+    `config` holds the settings `build` or `recorrected` made it from, and is
+    None for a preconditioner assembled by hand.
+    """
 
     def __init__(self, system: PartitionedSystem, ctx: SchurContext,
-                 series_degree: int, correction: LowRankCorrection, stats: FillStats):
+                 series_degree: int, correction: LowRankCorrection, stats: FillStats,
+                 config: PslrConfig | None = None, stage_s: tuple = (0.0, 0.0)):
         self.system = system
         self.ctx = ctx
         self.series_degree = series_degree
         self.correction = correction
         self.stats = stats
+        self.config = config
+        self._stage_s = stage_s   # (ILU, Arnoldi) seconds, counted again by derived ones
+
+    def recorrected(self, series_degree: int, rank: int) -> "PslrPreconditioner":
+        """What `build` gives with a new series degree and rank, derived from
+        this partition, these ILU factors and this seed.
+
+        At an unchanged series degree, a rank up to this one's reuses the
+        leading columns of its Arnoldi basis, and so does any rank once that
+        Arnoldi stopped short of its request (breakdown, or the interface
+        dimension), because a rerun would stop at the same step. Anything
+        else runs Arnoldi afresh.
+        """
+        if self.config is None:
+            raise ValueError("only a preconditioner made by build() can be recorrected")
+        old, base = self.correction, self.config
+        cfg = replace(base, series_degree=series_degree, rank=rank)
+        cfg.validate()
+        factor_s, arnoldi_s = self._stage_s
+        if series_degree == base.series_degree and (rank <= base.rank or old.rank < base.rank):
+            k = min(rank, old.rank)
+            V, H = old.V[:, :k], old.H[:k, :k]
+        else:
+            t0 = time.perf_counter()
+            V, H, _ = arnoldi(lambda v: apply_Err(self.ctx, series_degree, v),
+                              self.system.q, rank, seed=cfg.seed)
+            arnoldi_s = time.perf_counter() - t0
+        return _assemble(self.system, self.ctx, cfg, V, H,
+                         self.stats.order_time_s, factor_s, arnoldi_s)
 
     def apply(self, b) -> np.ndarray:
         """z = PSLR(b) in reordered space."""
@@ -125,17 +160,23 @@ def build(A, cfg: PslrConfig) -> PslrPreconditioner:
         raise ValueError("matrix must be square")
 
     t0 = time.perf_counter()
-    spec = partition_graph(A, cfg.num_subdomains, seed=cfg.seed)
+    spec = partition_graph(A, cfg.num_subdomains)
     system = classify_and_reorder(A, spec)
     t1 = time.perf_counter()
-
-    ctx = build_schur_context(system, droptol=cfg.droptol, fill_cap=cfg.fill_cap)
-    correction = build_correction(
-        *arnoldi(lambda v: apply_Err(ctx, cfg.series_degree, v),
-                 system.q, cfg.rank, seed=cfg.seed)[:2]
-    )
+    ctx = build_schur_context(system, droptol=cfg.droptol)
     t2 = time.perf_counter()
+    V, H, _ = arnoldi(lambda v: apply_Err(ctx, cfg.series_degree, v),
+                      system.q, cfg.rank, seed=cfg.seed)
+    t3 = time.perf_counter()
+    return _assemble(system, ctx, cfg, V, H, t1 - t0, t2 - t1, t3 - t2)
 
-    stats = _fill_stats(A, ctx, correction, order_time=t1 - t0, build_time=t2 - t1)
-    return PslrPreconditioner(system=system, ctx=ctx, series_degree=cfg.series_degree,
-                              correction=correction, stats=stats)
+
+def _assemble(system, ctx, cfg, V, H, order_s, factor_s, arnoldi_s) -> PslrPreconditioner:
+    """Correction core from an Arnoldi basis, then the fill and time accounting."""
+    t0 = time.perf_counter()
+    correction = build_correction(V, H)
+    build_s = factor_s + arnoldi_s + time.perf_counter() - t0
+    # the reordered matrix has exactly the entries of canonical(A)
+    stats = _fill_stats(system.matrix, ctx, correction, order_s, build_s)
+    return PslrPreconditioner(system, ctx, cfg.series_degree, correction, stats,
+                              config=cfg, stage_s=(factor_s, arnoldi_s))

@@ -49,12 +49,11 @@ def _block_diag_part(C, sizes) -> sp.csr_matrix:
     return canonical(out)
 
 
-def build_schur_context(ps: PartitionedSystem, droptol: float = 1e-2,
-                        fill_cap: int | None = None) -> SchurContext:
+def build_schur_context(ps: PartitionedSystem, droptol: float = 1e-2) -> SchurContext:
     """Factor the B_i and C_i diagonal blocks and assemble the context."""
-    b_ilu = factor_blocks(ps.B, ps.interior_sizes, droptol=droptol, fill_cap=fill_cap)
+    b_ilu = factor_blocks(ps.B, ps.interior_sizes, droptol=droptol)
     C0 = _block_diag_part(ps.C, ps.interface_sizes)
-    c0_ilu = factor_blocks(C0, ps.interface_sizes, droptol=droptol, fill_cap=fill_cap)
+    c0_ilu = factor_blocks(C0, ps.interface_sizes, droptol=droptol)
     Cg = canonical(ps.C - C0)
     return SchurContext(system=ps, b_ilu=b_ilu, c0_ilu=c0_ilu, C0=C0, Cg=Cg)
 

@@ -45,8 +45,8 @@ def random_sparse(n, density=0.1, seed=0, diag_boost=4.0):
     return (A + diag_boost * sp.identity(n)).tocsr()
 
 
-def partitioned(A, s, seed=0):
-    return classify_and_reorder(A, partition_graph(A, s, seed=seed))
+def partitioned(A, s):
+    return classify_and_reorder(A, partition_graph(A, s))
 
 
 @pytest.fixture(scope="session")

@@ -126,6 +126,63 @@ class TestSweep:
         assert code == 0
         assert len(self._rows(out.read_text())) == 2
 
+    def _sweep(self, tmp_path, *args):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--problem", PROBLEM, "--s", "4", "--rank", "6",
+                     *args, "--out", str(out)]) == 0
+        return self._rows(out.read_text())
+
+    @staticmethod
+    def _count_stages(monkeypatch):
+        """Count the stage calls `build` and `recorrected` make; arnoldi by rank."""
+        import pslr.preconditioner as pre
+        calls = {"partition_graph": 0, "build_schur_context": 0}
+        ranks = []
+        for name in calls:
+            def counted(*a, _fn=getattr(pre, name), _name=name, **k):
+                calls[_name] += 1
+                return _fn(*a, **k)
+            monkeypatch.setattr(pre, name, counted)
+
+        def counted_arnoldi(op, dim, rank, _fn=pre.arnoldi, **k):
+            ranks.append(rank)
+            return _fn(op, dim, rank, **k)
+        monkeypatch.setattr(pre, "arnoldi", counted_arnoldi)
+        return calls, ranks
+
+    def _same_as_solve(self, tmp_path, row, *solve_args):
+        _, stats = run_solve(tmp_path, *solve_args)
+        assert int(row["its"]) == stats["its"]
+        assert row["fill_total"] == f"{stats['fill_total']:.6f}"
+
+    def test_m_rows_equal_solve(self, tmp_path):
+        for row in self._sweep(tmp_path, "--axis", "m", "--values", "0,1,3"):
+            self._same_as_solve(tmp_path, row, "--m", row["value"])
+
+    def test_largest_rank_row_equals_solve(self, tmp_path):
+        rows = self._sweep(tmp_path, "--axis", "rank", "--values", "2,8,5")
+        self._same_as_solve(tmp_path, rows[1], "--rank", "8")
+
+    def test_rank_above_interface_reuses_basis(self, tmp_path, monkeypatch):
+        # n = 216, so Arnoldi stops at the interface dimension, far below 500
+        _, ranks = self._count_stages(monkeypatch)
+        rows = self._sweep(tmp_path, "--axis", "rank", "--values", "400,500")
+        assert ranks == [500]
+        assert rows[0]["fill_lowrank"] == rows[1]["fill_lowrank"]
+        self._same_as_solve(tmp_path, rows[0], "--rank", "400")
+
+    def test_m_sweep_builds_prefix_once(self, tmp_path, monkeypatch):
+        calls, ranks = self._count_stages(monkeypatch)
+        self._sweep(tmp_path, "--axis", "m", "--values", "0,1,2")
+        assert calls == {"partition_graph": 1, "build_schur_context": 1}
+        assert ranks == [0, 6, 6, 6]   # the rank-0 build, then one run per m
+
+    def test_rank_sweep_runs_arnoldi_once(self, tmp_path, monkeypatch):
+        calls, ranks = self._count_stages(monkeypatch)
+        self._sweep(tmp_path, "--axis", "rank", "--values", "0,4,8")
+        assert calls == {"partition_graph": 1, "build_schur_context": 1}
+        assert ranks == [8]
+
     def test_bad_axis_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["sweep", "--problem", PROBLEM,

@@ -3,6 +3,8 @@ import pytest
 import scipy.sparse as sp
 
 from pslr.partition import (
+    _adjacency,
+    _bfs_order,
     classify_and_reorder,
     partition_graph,
     save_assignment_json,
@@ -50,6 +52,30 @@ class TestPartitionGraph:
     def test_nonsquare_rejected(self):
         with pytest.raises(ValueError):
             partition_graph(sp.csr_matrix((3, 4)), 2)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_bfs_order_contract(self, seed):
+        """Queue BFS over the induced subgraph: smallest unvisited vertex as root,
+        neighbours in index order, each component exhausted before the next."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(5, 120))
+        adj = _adjacency(sp.random(n, n, density=float(rng.choice([0.005, 0.02, 0.08])),
+                                   random_state=seed, format="csr") + sp.identity(n))
+        vertices = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+        member = set(vertices.tolist())
+        want, seen = [], set()
+        for root in vertices.tolist():
+            if root in seen:
+                continue
+            seen.add(root)
+            queue = [root]
+            for v in queue:
+                want.append(v)
+                for w in adj.indices[adj.indptr[v]:adj.indptr[v + 1]].tolist():
+                    if w in member and w not in seen:
+                        seen.add(w)
+                        queue.append(w)
+        np.testing.assert_array_equal(_bfs_order(adj, vertices), want)
 
     def test_deterministic(self):
         A = random_sparse(100, seed=3)

@@ -134,3 +134,63 @@ class TestDeterminism:
         rng = np.random.default_rng(8)
         b = rng.standard_normal(A.shape[0])
         np.testing.assert_array_equal(P1.apply_original(b), P2.apply_original(b))
+
+
+class TestRecorrected:
+    A = laplacian3d(ProblemSpec(6, 6, 6, shift=0.1))
+    CFG = PslrConfig(num_subdomains=4, series_degree=2, rank=8, seed=1)
+
+    @pytest.mark.parametrize("m, rank", [
+        (2, 5),    # leading columns of the existing basis
+        (2, 8),
+        (3, 5),    # new series degree: fresh Arnoldi
+        (2, 12),   # rank grows: fresh Arnoldi
+    ])
+    def test_equals_fresh_build(self, m, rank):
+        derived = build(self.A, self.CFG).recorrected(m, rank)
+        want = build(self.A, PslrConfig(num_subdomains=4, series_degree=m, rank=rank,
+                                        seed=self.CFG.seed))
+        np.testing.assert_array_equal(derived.correction.V, want.correction.V)
+        np.testing.assert_array_equal(derived.correction.G, want.correction.G)
+        assert derived.series_degree == m
+        assert derived.stats.fill_total == want.stats.fill_total
+        b = np.random.default_rng(2).standard_normal(self.A.shape[0])
+        np.testing.assert_array_equal(derived.apply_original(b), want.apply_original(b))
+
+    def test_shares_partition_and_factors(self):
+        P = build(self.A, self.CFG)
+        derived = P.recorrected(4, 3)
+        assert derived.system is P.system and derived.ctx is P.ctx
+        assert derived.stats.order_time_s == P.stats.order_time_s
+
+    def test_build_time_counts_shared_factors(self, monkeypatch):
+        import time
+        import pslr.preconditioner as pre
+
+        def slow_factors(*a, _fn=pre.build_schur_context, **k):
+            time.sleep(0.2)
+            return _fn(*a, **k)
+        monkeypatch.setattr(pre, "build_schur_context", slow_factors)
+        P = build(self.A, self.CFG)
+        for derived in (P.recorrected(2, 3), P.recorrected(3, 3)):
+            assert derived.stats.build_time_s >= 0.2
+
+    def test_stopped_arnoldi_is_not_rerun(self, monkeypatch):
+        import pslr.preconditioner as pre
+        P = build(self.A, PslrConfig(num_subdomains=4, series_degree=2, rank=500))
+        assert P.correction.rank <= P.system.q < 500
+        monkeypatch.setattr(pre, "arnoldi", None)   # any Arnoldi run would fail
+        derived = P.recorrected(2, 600)
+        np.testing.assert_array_equal(derived.correction.V, P.correction.V)
+        assert derived.stats.fill_total == P.stats.fill_total
+
+    def test_invalid_settings_rejected(self):
+        with pytest.raises(ValueError):
+            build(self.A, self.CFG).recorrected(-1, 3)
+
+    def test_hand_assembled_rejected(self):
+        from pslr.preconditioner import PslrPreconditioner
+        P = build(self.A, self.CFG)
+        bare = PslrPreconditioner(P.system, P.ctx, 2, P.correction, P.stats)
+        with pytest.raises(ValueError):
+            bare.recorrected(2, 3)
