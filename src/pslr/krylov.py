@@ -24,7 +24,7 @@ class SolveReport:
     converged: bool
     iterations: int
     final_relres: float
-    history: list = field(default_factory=list)  # relative residuals, history[0] = 1.0
+    history: list = field(default_factory=list)  # relative residuals: 1.0, then one per iteration
     time_s: float = 0.0
 
 
@@ -60,7 +60,9 @@ def gmres(apply_A, apply_M, b, tol: float = 1e-8, maxit: int = 500, restart: int
             converged = True
             break
         cycle = maxit - total if restart <= 0 else min(restart, maxit - total)
-        V = np.zeros((n, cycle + 1))
+        # column-major: each basis vector is contiguous, and the columns
+        # never reached stay unwritten, so their pages are never touched
+        V = np.zeros((n, cycle + 1), order="F")
         Hcol = np.zeros((cycle + 1, cycle))
         cs = np.zeros(cycle)
         sn = np.zeros(cycle)
@@ -121,11 +123,8 @@ def gmres(apply_A, apply_M, b, tol: float = 1e-8, maxit: int = 500, restart: int
 
     if not converged and total < maxit and not np.isfinite(relres):
         raise ArithmeticError("GMRES diverged: non-finite residual")
-    iterations = total if converged else maxit
-    if not converged:
-        # pad history so the failed-run contract (length = maxit + 1) holds
-        history.extend([relres] * (maxit + 1 - len(history)))
-    report = SolveReport(converged, iterations, relres, history, time.perf_counter() - t0)
+    # one history entry per iteration run, also after a breakdown stop
+    report = SolveReport(converged, total, relres, history, time.perf_counter() - t0)
     return x, report
 
 
@@ -167,8 +166,5 @@ def cg(apply_A, apply_M, b, tol: float = 1e-8, maxit: int = 500):
         p = z + (rz_new / rz) * p
         rz = rz_new
 
-    iterations = it if converged else maxit
-    if not converged:
-        history.extend([relres] * (maxit + 1 - len(history)))
-    report = SolveReport(converged, iterations, relres, history, time.perf_counter() - t0)
+    report = SolveReport(converged, it, relres, history, time.perf_counter() - t0)
     return x, report

@@ -7,6 +7,35 @@ from pslr.ilu import block_solve, factor_blocks, ilut
 from conftest import lap1d, random_sparse
 
 
+def _oracle_solve(bf, rhs):
+    """L U y = rhs through scipy's generic triangular solver."""
+    y = sp.linalg.spsolve_triangular(bf.L, rhs, lower=True, unit_diagonal=True)
+    return sp.linalg.spsolve_triangular(bf.U, y, lower=False)
+
+
+def _zero_pivot_block(n, seed):
+    """Random block whose first pivot is zero, so ILUT must repair it."""
+    A = random_sparse(n, density=0.2, seed=seed).tolil()
+    A[0, 0] = 0.0
+    return A.tocsr()
+
+
+# (blocks, droptol): the zero-pivot block is paired with positive droptols,
+# where its repaired pivot is droptol * ||row|| and the factors stay well
+# conditioned enough for two solvers to agree to 1e-13
+_BLOCK_CASES = [
+    ([random_sparse(30, density=0.2, seed=20), random_sparse(17, seed=21)], 0.0),
+    ([random_sparse(40, density=0.15, seed=22), lap1d(25)], 1e-3),
+    ([_zero_pivot_block(24, 23), random_sparse(31, density=0.2, seed=24)], 1e-2),
+    ([random_sparse(12, seed=25), _zero_pivot_block(36, 26), random_sparse(9, seed=27)], 1e-3),
+]
+
+
+def _factor_case(blocks, droptol):
+    A = sp.block_diag(blocks, format="csr")
+    return factor_blocks(A, [blk.shape[0] for blk in blocks], droptol=droptol)
+
+
 class TestIlut:
     def test_droptol_zero_is_exact_lu(self):
         A = random_sparse(40, density=0.2, seed=0)
@@ -121,5 +150,46 @@ class TestBlockFactors:
 
     def test_empty_system(self):
         bf = factor_blocks(sp.csr_matrix((0, 0)), [])
-        out = block_solve(bf, np.zeros(0))
-        assert out.size == 0
+        rhs = np.zeros(0)
+        out = block_solve(bf, rhs)
+        assert out.size == 0 and out is not rhs
+
+
+class TestPreparedSolve:
+    @pytest.mark.parametrize("blocks,droptol", _BLOCK_CASES)
+    def test_matches_triangular_oracle(self, blocks, droptol):
+        bf = _factor_case(blocks, droptol)
+        rng = np.random.default_rng(28)
+        for _ in range(3):
+            rhs = rng.standard_normal(bf.n)
+            ref = _oracle_solve(bf, rhs)
+            out = block_solve(bf, rhs)
+            assert np.linalg.norm(out - ref) <= 1e-13 * np.linalg.norm(ref)
+
+    def test_zero_pivot_cases_are_repaired(self):
+        repaired = [_factor_case(blocks, t).pivot_repairs for blocks, t in _BLOCK_CASES]
+        assert repaired[0] == repaired[1] == 0
+        assert repaired[2] >= 1 and repaired[3] >= 1
+
+    @pytest.mark.parametrize("blocks,droptol", _BLOCK_CASES)
+    def test_prepared_factors_are_the_ilu_factors(self, blocks, droptol):
+        # no reordering and no re-pivoting: SuperLU keeps L and U as given
+        bf = _factor_case(blocks, droptol)
+        ident = np.arange(bf.n)
+        eye = sp.identity(bf.n, format="csc")
+        for solver in (bf.lower, bf.upper):
+            np.testing.assert_array_equal(solver.perm_r, ident)
+            np.testing.assert_array_equal(solver.perm_c, ident)
+        assert abs(bf.lower.L - bf.L).max() == 0.0
+        assert abs(bf.lower.U - eye).max() == 0.0
+        assert abs(bf.upper.L - eye).max() == 0.0
+        assert abs(bf.upper.U - bf.U).max() == 0.0
+
+    def test_reused_factors_match_fresh_ones(self):
+        bf = _factor_case(*_BLOCK_CASES[2])
+        rng = np.random.default_rng(29)
+        rhs = [rng.standard_normal(bf.n) for _ in range(20)]
+        outs = [block_solve(bf, r) for r in rhs]
+        for r, out in zip(rhs, outs):
+            np.testing.assert_array_equal(out, block_solve(_factor_case(*_BLOCK_CASES[2]), r))
+        np.testing.assert_array_equal(block_solve(bf, rhs[0]), outs[0])

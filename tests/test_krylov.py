@@ -1,10 +1,14 @@
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from pslr.krylov import NotSpdError, cg, gmres
 
-from conftest import lap1d, random_sparse
+from conftest import child_env, lap1d, random_sparse
 
 
 def _dense_spd(n, seed):
@@ -64,7 +68,8 @@ class TestGmres:
         assert len(rep.history) == rep.iterations + 1
 
     def test_failure_contract(self):
-        # indefinite and badly scaled: will not converge in 5 iterations
+        # indefinite and badly scaled: will not converge in 5 iterations, so
+        # all 5 are run and reported, with one history entry each
         A = lap1d(200).toarray() - 0.5 * np.eye(200)
         b = np.ones(200)
         x, rep = gmres(lambda v: A @ v, None, b, tol=1e-14, maxit=5)
@@ -72,6 +77,42 @@ class TestGmres:
         assert rep.iterations == 5
         assert len(rep.history) == 6
         assert rep.final_relres > 1e-14
+
+    def test_breakdown_short_of_tol_reports_iterations_run(self):
+        # three distinct eigenvalues: the Krylov space is exhausted after 3
+        # steps at relres ~1e-16, which cannot reach tol=1e-20
+        A = np.diag([1.0, 2.0, 3.0] * 4)
+        b = np.arange(1.0, 13.0)
+        x, rep = gmres(lambda v: A @ v, None, b, tol=1e-20, maxit=50)
+        assert not rep.converged
+        assert rep.iterations == 3
+        assert len(rep.history) == rep.iterations + 1
+        assert rep.history[-1] == rep.final_relres <= 1e-14
+
+    def test_unreached_basis_columns_stay_untouched(self):
+        # a 100000 x 201 basis is 153 MiB; a run that stops after one
+        # iteration must not make all of it resident
+        code = textwrap.dedent("""
+            import resource
+            import numpy as np
+            from pslr.krylov import gmres
+
+            n = 100_000
+            d = np.linspace(1.0, 2.0, n)
+            b = np.ones(n)
+            apply_A = lambda v: d * v
+            apply_M = lambda v: v / d
+            gmres(lambda v: 2.0 * v, None, np.ones(10), maxit=2)  # warm-up
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            x, rep = gmres(apply_A, apply_M, b, tol=1e-8, maxit=200)
+            after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            assert rep.converged and rep.iterations == 1, rep
+            print((after - before) / 1024)  # ru_maxrss is in KiB on Linux
+        """)
+        out = subprocess.run([sys.executable, "-c", code], env=child_env(),
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert float(out.stdout) < 40.0
 
     def test_restarted_converges(self):
         A = _dense_spd(40, 8)
