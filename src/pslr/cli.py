@@ -5,7 +5,9 @@ Every flag can also be supplied through an environment variable with the
 right-hand side is generated as A x with a seeded random x, and the solve
 starts from a zero initial guess.
 
-Exit codes: 0 converged, 1 input/usage error, 2 solver failed to converge.
+Exit codes: 0 converged, 1 input/usage error or a build or solve that cannot
+proceed (CG on a matrix that is not SPD, a singular correction core), 2 solver
+failed to converge.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ import numpy as np
 
 from . import preconditioner
 from .diagnostics import dense_schur, emit_spectrum_csv, spectrum, DENSE_GUARD
-from .krylov import cg, gmres
-from .lowrank import arnoldi, build_correction
+from .krylov import NotSpdError, cg, gmres
+from .lowrank import CorrectionSingularError, arnoldi, build_correction
 from .partition import classify_and_reorder, partition_graph, save_assignment_json
 from .preconditioner import PslrConfig, PslrPreconditioner
 from .problems import parse_problem
@@ -277,7 +279,8 @@ def main(argv=None) -> int:
     handler = {"solve": cmd_solve, "sweep": cmd_sweep, "spectrum": cmd_spectrum}[args.command]
     try:
         return handler(manifest)
-    except (OSError, ValueError, np.linalg.LinAlgError) as exc:
+    except (OSError, ValueError, np.linalg.LinAlgError, NotSpdError,
+            CorrectionSingularError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -5,6 +5,13 @@ entry is dropped when its magnitude falls below droptol times the 2-norm of
 the original row; the diagonal is never dropped.  A zero or absent pivot is
 repaired (never fatal) so the factorization survives indefinite blocks.
 
+The row loop runs on plain Python objects, with no numpy call per pivot.
+The working row is a dict from column to value; pivots are eliminated in
+increasing column order through a heap.  Each finished U row is kept as a
+pair of lists (the columns after the diagonal and their values) for the
+updates of later rows, and L and U are appended row by row to CSR
+`indptr`/`indices`/`data` lists.
+
 The assembled block factors are prepared for solving once, when they are
 built: each triangular factor is handed to SuperLU in natural order with no
 pivoting, which stores it unchanged.  A block solve is then two compiled
@@ -13,8 +20,8 @@ triangular sweeps with no per-call conversion.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 import numpy as np
 import scipy.sparse as sp
@@ -52,52 +59,40 @@ def ilut(block, droptol: float = 1e-2) -> IluFactor:
         empty = sp.csr_matrix((0, 0))
         return IluFactor(L=empty, U=empty.copy(), n=0, pivot_repairs=0)
 
-    row_norms = np.sqrt(np.asarray(A.multiply(A).sum(axis=1)).ravel())
-    eps = np.finfo(np.float64).eps
+    row_norms = np.sqrt(np.asarray(A.multiply(A).sum(axis=1)).ravel()).tolist()
+    eps = float(np.finfo(np.float64).eps)
+    a_ptr, a_idx, a_val = A.indptr.tolist(), A.indices.tolist(), A.data.tolist()
 
-    # U rows kept as growing arrays for the elimination updates
-    u_cols: list[np.ndarray] = [None] * n
-    u_vals: list[np.ndarray] = [None] * n
-    u_diag = np.empty(n)
-    l_rows_i: list[int] = []
-    l_rows_j: list[int] = []
-    l_rows_v: list[float] = []
-
-    w = np.zeros(n)
-    touched_flag = np.zeros(n, dtype=bool)
+    # finished U rows: diagonal, then the columns after it and their values
+    u_diag: list[float] = []
+    u_cols: list[list[int]] = []
+    u_vals: list[list[float]] = []
+    l_ptr, l_idx, l_val = [0], [], []
+    u_ptr, u_idx, u_val = [0], [], []
     pivot_repairs = 0
 
     for i in range(n):
-        cols = A.indices[A.indptr[i]:A.indptr[i + 1]]
-        vals = A.data[A.indptr[i]:A.indptr[i + 1]]
-        w[cols] = vals
-        touched_flag[cols] = True
-        touched = list(cols)
+        cols = a_idx[a_ptr[i]:a_ptr[i + 1]]
+        w = dict(zip(cols, a_val[a_ptr[i]:a_ptr[i + 1]]))
         tau = droptol * row_norms[i]
 
-        heap = [int(c) for c in cols if c < i]
-        heapq.heapify(heap)
-        l_keep = []
+        heap = [c for c in cols if c < i]   # ascending, so already a heap
         while heap:
-            k = heapq.heappop(heap)
+            k = heappop(heap)
             factor = w[k] / u_diag[k]
-            w[k] = 0.0
             if abs(factor) < tau:
                 continue
-            l_keep.append((k, factor))
-            uc = u_cols[k]
-            uv = u_vals[k]
-            if uc.size:
-                fresh = uc[~touched_flag[uc]]
-                if fresh.size:
-                    touched_flag[fresh] = True
-                    touched.extend(int(c) for c in fresh)
-                    for c in fresh:
-                        if c < i:
-                            heapq.heappush(heap, int(c))
-                w[uc] -= factor * uv
+            l_idx.append(k)
+            l_val.append(factor)
+            for c, v in zip(u_cols[k], u_vals[k]):
+                if c in w:
+                    w[c] = w[c] - factor * v
+                else:   # 0.0 - x, not -x: a zero product gives +0.0 fill
+                    w[c] = 0.0 - factor * v
+                    if c < i:
+                        heappush(heap, c)
         # diagonal pivot; repair if zero or absent
-        diag = w[i]
+        diag = w.get(i, 0.0)
         if diag == 0.0:
             base = row_norms[i] if row_norms[i] > 0 else 1.0
             repl = droptol * base
@@ -105,33 +100,24 @@ def ilut(block, droptol: float = 1e-2) -> IluFactor:
                 repl = eps * base
             diag = repl  # original pivot was zero/absent: sign taken as +
             pivot_repairs += 1
-        upper = [(j, w[j]) for j in touched if j > i and abs(w[j]) >= tau and w[j] != 0.0]
-
-        l_keep.sort()
+        upper = [j for j, v in w.items() if j > i and abs(v) >= tau and v != 0.0]
         upper.sort()
-        for j, v in l_keep:
-            l_rows_i.append(i)
-            l_rows_j.append(j)
-            l_rows_v.append(v)
-        u_cols[i] = np.array([i] + [j for j, _ in upper], dtype=np.int64)
-        u_vals[i] = np.array([diag] + [v for _, v in upper])
-        u_diag[i] = diag
+        vals = [w[j] for j in upper]
 
-        for j in touched:
-            w[j] = 0.0
-            touched_flag[j] = False
+        l_idx.append(i)
+        l_val.append(1.0)
+        l_ptr.append(len(l_idx))
+        u_idx.append(i)
+        u_idx.extend(upper)
+        u_val.append(diag)
+        u_val.extend(vals)
+        u_ptr.append(len(u_idx))
+        u_diag.append(diag)
+        u_cols.append(upper)
+        u_vals.append(vals)
 
-    # assemble CSR factors
-    l_rows_i.extend(range(n))
-    l_rows_j.extend(range(n))
-    l_rows_v.extend([1.0] * n)
-    L = sp.csr_matrix((l_rows_v, (l_rows_i, l_rows_j)), shape=(n, n))
-    u_i = np.repeat(np.arange(n), [c.size for c in u_cols])
-    u_j = np.concatenate(u_cols)
-    u_v = np.concatenate(u_vals)
-    U = sp.csr_matrix((u_v, (u_i, u_j)), shape=(n, n))
-    L.sort_indices()
-    U.sort_indices()
+    L = sp.csr_matrix((l_val, l_idx, l_ptr), shape=(n, n))
+    U = sp.csr_matrix((u_val, u_idx, u_ptr), shape=(n, n))
     return IluFactor(L=L, U=U, n=n, pivot_repairs=pivot_repairs)
 
 

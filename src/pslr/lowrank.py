@@ -41,7 +41,10 @@ def arnoldi(op, dim: int, rank: int, seed: int = 0):
 
     `op` maps length-`dim` vectors to length-`dim` vectors.  The start
     vector is a normalized seeded pseudo-random vector.  Returns (V, H, r)
-    where r < rank signals happy breakdown.
+    where r < rank signals happy breakdown: what is left of op(v_j) after
+    orthogonalization is at most BREAKDOWN_RTOL times the largest ||op(v_i)||
+    so far, so a scaled operator stops at the same step.  ||op(v_j)|| alone
+    is no scale: past the Krylov dimension op(v_j) is itself rounding noise.
     """
     if rank < 0:
         raise ValueError("rank must be >= 0")
@@ -57,8 +60,10 @@ def arnoldi(op, dim: int, rank: int, seed: int = 0):
     V[:, 0] = v0 / beta0
 
     r = rank
+    opnorm = 0.0
     for j in range(rank):
         w = np.asarray(op(V[:, j]), dtype=np.float64)
+        opnorm = max(opnorm, np.linalg.norm(w))
         h = V[:, :j + 1].T @ w
         w = w - V[:, :j + 1] @ h
         h2 = V[:, :j + 1].T @ w      # one reorthogonalization pass
@@ -66,7 +71,7 @@ def arnoldi(op, dim: int, rank: int, seed: int = 0):
         Hbar[:j + 1, j] = h + h2
         hnext = np.linalg.norm(w)
         Hbar[j + 1, j] = hnext
-        if hnext <= BREAKDOWN_RTOL:  # start vector was normalized to 1
+        if hnext <= BREAKDOWN_RTOL * opnorm:
             r = j + 1
             break
         V[:, j + 1] = w / hnext

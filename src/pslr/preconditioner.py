@@ -153,11 +153,14 @@ def _fill_stats(A, ctx: SchurContext, correction: LowRankCorrection,
 
 
 def build(A, cfg: PslrConfig) -> PslrPreconditioner:
-    """Construct the preconditioner for a square sparse matrix."""
+    """Construct the preconditioner for a square sparse matrix of finite values."""
     cfg.validate()
     A = canonical(A)
     if A.shape[0] != A.shape[1]:
         raise ValueError("matrix must be square")
+    nonfinite = int(np.count_nonzero(~np.isfinite(A.data)))
+    if nonfinite:
+        raise ValueError(f"matrix has {nonfinite} non-finite entries (nan or inf)")
 
     t0 = time.perf_counter()
     spec = partition_graph(A, cfg.num_subdomains)

@@ -99,6 +99,8 @@ def parse_problem(text: str):
         values = [float(t) for t in args.split(",")]
     except ValueError:
         raise ValueError(f"malformed problem string '{text}'") from None
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"problem string '{text}' has a non-finite value")
     if kind == "lap3d":
         if len(values) != 4:
             raise ValueError("lap3d expects nx,ny,nz,shift")

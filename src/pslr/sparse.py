@@ -7,6 +7,7 @@ form; everything else in the package assumes it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,7 +94,8 @@ def read_matrix_market(path) -> sp.csr_matrix:
     """Read a real coordinate Matrix Market file (general or symmetric).
 
     Symmetric storage is expanded to full; duplicate entries are summed;
-    indices are converted from the file's 1-based convention.
+    indices are converted from the file's 1-based convention.  A file with
+    any nan or infinite value is rejected, with the count of such entries.
     """
     with open(path, "r") as fh:
         lines = fh.readlines()
@@ -114,6 +116,8 @@ def read_matrix_market(path) -> sp.csr_matrix:
     lineno = 1
     nrows = ncols = nnz = None
     entries_seen = 0
+    nonfinite = 0
+    first_nonfinite = None
     ii = []
     jj = []
     vv = []
@@ -146,6 +150,10 @@ def read_matrix_market(path) -> sp.csr_matrix:
         entries_seen += 1
         if entries_seen > nnz:
             raise MatrixMarketError(f"more than the declared {nnz} entries", line=lineno)
+        if not math.isfinite(v):
+            if not nonfinite:
+                first_nonfinite = lineno
+            nonfinite += 1
         ii.append(i - 1)
         jj.append(j - 1)
         vv.append(v)
@@ -158,6 +166,9 @@ def read_matrix_market(path) -> sp.csr_matrix:
         raise MatrixMarketError("missing size line", line=lineno)
     if entries_seen != nnz:
         raise MatrixMarketError(f"declared {nnz} entries but found {entries_seen}", line=lineno)
+    if nonfinite:
+        raise MatrixMarketError(f"non-finite value ({nonfinite} non-finite entries in the file)",
+                                line=first_nonfinite)
     A = sp.coo_matrix((vv, (ii, jj)), shape=(nrows, ncols))
     return canonical(A)
 

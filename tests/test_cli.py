@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from pslr.cli import build_parser, main
 from pslr.sparse import write_matrix_market
@@ -66,6 +67,36 @@ class TestSolve:
 
     def test_missing_file(self):
         assert main(["solve", "--matrix", "/nonexistent/x.mtx"]) == 1
+
+    def test_nonfinite_matrix_file(self, tmp_path, capsys):
+        mtx = tmp_path / "nan.mtx"
+        mtx.write_text("%%MatrixMarket matrix coordinate real general\n3 3 3\n"
+                       "1 1 nan\n2 2 1.0\n3 3 1.0\n")
+        assert main(["solve", "--matrix", str(mtx), "--s", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "1 non-finite entries" in err
+
+    def test_cg_on_indefinite_is_an_error(self, capsys):
+        code = main(["solve", "--problem", "lap3d:8,8,8,0.5", "--s", "4", "--krylov", "cg"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "not SPD" in err
+
+    def test_singular_correction_is_an_error(self, tmp_path, capsys):
+        # the path-graph Laplacian is singular, so at droptol 0 and a rank
+        # that spans the interface, I - H is singular
+        d = np.full(6, 2.0)
+        d[[0, -1]] = 1.0
+        mtx = tmp_path / "singular.mtx"
+        write_matrix_market(lap1d(6) - sp.diags(2.0 - d), mtx)
+        code = main(["solve", "--matrix", str(mtx), "--s", "2", "--m", "0",
+                     "--rank", "10", "--droptol", "0"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "correction singular" in err
 
     def test_cg_on_spd(self, tmp_path):
         out = tmp_path / "o.json"

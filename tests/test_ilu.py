@@ -1,10 +1,121 @@
+import heapq
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
-from pslr.ilu import block_solve, factor_blocks, ilut
+from pslr.ilu import IluFactor, block_solve, factor_blocks, ilut
+from pslr.problems import parse_problem
+from pslr.schur import _block_diag_part
+from pslr.sparse import canonical
 
-from conftest import lap1d, random_sparse
+from conftest import lap1d, partitioned, random_sparse
+
+
+def _reference_ilut(block, droptol: float = 1e-2) -> IluFactor:
+    """The numpy-per-pivot ILUT that `ilut` replaced, kept unchanged as its oracle."""
+    A = canonical(block)
+    if A.shape[0] != A.shape[1]:
+        raise ValueError("block must be square")
+    n = A.shape[0]
+    if droptol < 0:
+        raise ValueError("droptol must be >= 0")
+    if n == 0:
+        empty = sp.csr_matrix((0, 0))
+        return IluFactor(L=empty, U=empty.copy(), n=0, pivot_repairs=0)
+
+    row_norms = np.sqrt(np.asarray(A.multiply(A).sum(axis=1)).ravel())
+    eps = np.finfo(np.float64).eps
+
+    # U rows kept as growing arrays for the elimination updates
+    u_cols: list[np.ndarray] = [None] * n
+    u_vals: list[np.ndarray] = [None] * n
+    u_diag = np.empty(n)
+    l_rows_i: list[int] = []
+    l_rows_j: list[int] = []
+    l_rows_v: list[float] = []
+
+    w = np.zeros(n)
+    touched_flag = np.zeros(n, dtype=bool)
+    pivot_repairs = 0
+
+    for i in range(n):
+        cols = A.indices[A.indptr[i]:A.indptr[i + 1]]
+        vals = A.data[A.indptr[i]:A.indptr[i + 1]]
+        w[cols] = vals
+        touched_flag[cols] = True
+        touched = list(cols)
+        tau = droptol * row_norms[i]
+
+        heap = [int(c) for c in cols if c < i]
+        heapq.heapify(heap)
+        l_keep = []
+        while heap:
+            k = heapq.heappop(heap)
+            factor = w[k] / u_diag[k]
+            w[k] = 0.0
+            if abs(factor) < tau:
+                continue
+            l_keep.append((k, factor))
+            uc = u_cols[k]
+            uv = u_vals[k]
+            if uc.size:
+                fresh = uc[~touched_flag[uc]]
+                if fresh.size:
+                    touched_flag[fresh] = True
+                    touched.extend(int(c) for c in fresh)
+                    for c in fresh:
+                        if c < i:
+                            heapq.heappush(heap, int(c))
+                w[uc] -= factor * uv
+        # diagonal pivot; repair if zero or absent
+        diag = w[i]
+        if diag == 0.0:
+            base = row_norms[i] if row_norms[i] > 0 else 1.0
+            repl = droptol * base
+            if repl == 0.0:
+                repl = eps * base
+            diag = repl  # original pivot was zero/absent: sign taken as +
+            pivot_repairs += 1
+        upper = [(j, w[j]) for j in touched if j > i and abs(w[j]) >= tau and w[j] != 0.0]
+
+        l_keep.sort()
+        upper.sort()
+        for j, v in l_keep:
+            l_rows_i.append(i)
+            l_rows_j.append(j)
+            l_rows_v.append(v)
+        u_cols[i] = np.array([i] + [j for j, _ in upper], dtype=np.int64)
+        u_vals[i] = np.array([diag] + [v for _, v in upper])
+        u_diag[i] = diag
+
+        for j in touched:
+            w[j] = 0.0
+            touched_flag[j] = False
+
+    # assemble CSR factors
+    l_rows_i.extend(range(n))
+    l_rows_j.extend(range(n))
+    l_rows_v.extend([1.0] * n)
+    L = sp.csr_matrix((l_rows_v, (l_rows_i, l_rows_j)), shape=(n, n))
+    u_i = np.repeat(np.arange(n), [c.size for c in u_cols])
+    u_j = np.concatenate(u_cols)
+    u_v = np.concatenate(u_vals)
+    U = sp.csr_matrix((u_v, (u_i, u_j)), shape=(n, n))
+    L.sort_indices()
+    U.sort_indices()
+    return IluFactor(L=L, U=U, n=n, pivot_repairs=pivot_repairs)
+
+
+def _assert_same_factors(f, ref):
+    """Exactly the same CSR arrays, to the bit, and the same repair count."""
+    for M, R in ((f.L, ref.L), (f.U, ref.U)):
+        np.testing.assert_array_equal(M.indptr, R.indptr)
+        np.testing.assert_array_equal(M.indices, R.indices)
+        assert M.data.dtype == R.data.dtype == np.float64
+        np.testing.assert_array_equal(M.data.view(np.int64), R.data.view(np.int64))
+    assert f.pivot_repairs == ref.pivot_repairs
 
 
 def _oracle_solve(bf, rhs):
@@ -193,3 +304,73 @@ class TestPreparedSolve:
         for r, out in zip(rhs, outs):
             np.testing.assert_array_equal(out, block_solve(_factor_case(*_BLOCK_CASES[2]), r))
         np.testing.assert_array_equal(block_solve(bf, rhs[0]), outs[0])
+
+
+def _diagonal_blocks(problem, s):
+    """Every B_i and C0_i diagonal block of a partitioned problem."""
+    ps = partitioned(parse_problem(problem)[1], s)
+    C0 = _block_diag_part(ps.C, ps.interface_sizes)
+    for M, sizes in ((ps.B, ps.interior_sizes), (C0, ps.interface_sizes)):
+        offsets = np.concatenate([[0], np.cumsum(sizes)])
+        for lo, hi in zip(offsets[:-1], offsets[1:]):
+            yield M[lo:hi, lo:hi]
+
+
+@st.composite
+def _sparse_blocks(draw):
+    """Small random blocks: duplicates, explicit zeros, empty rows, and
+    diagonals that may be zero or absent. Small integer values make exact
+    cancellation, and so exact-zero fill, likely."""
+    n = draw(st.integers(1, 14))
+    coords = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    values = st.one_of(st.integers(-3, 3).map(float),
+                       st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False))
+    entries = draw(st.lists(st.tuples(coords, values), max_size=4 * n))
+    diag = draw(st.lists(st.one_of(st.none(), values), min_size=n, max_size=n))
+    rows = [i for (i, _), _ in entries] + [i for i, d in enumerate(diag) if d is not None]
+    cols = [j for (_, j), _ in entries] + [i for i, d in enumerate(diag) if d is not None]
+    vals = [v for _, v in entries] + [d for d in diag if d is not None]
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("problem,s,droptol", [
+        ("lap3d:10,10,10,0.3", 8, 1e-2),
+        ("lap3d:10,10,10,0.3", 8, 0.0),
+        ("convdiff3d:10,10,10,0.0,40,40,40", 8, 1e-3),
+        ("convdiff3d:10,10,10,0.5,20,-10,5", 6, 1e-2),
+    ])
+    def test_workload_blocks(self, problem, s, droptol):
+        for block in _diagonal_blocks(problem, s):
+            _assert_same_factors(ilut(block, droptol), _reference_ilut(block, droptol))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(block=_sparse_blocks(), droptol=st.sampled_from([0.0, 1e-3, 1e-2, 0.5]))
+    def test_random_blocks(self, block, droptol):
+        # a chain of tiny repaired pivots can overflow: both sides must agree
+        # on the resulting inf and nan too, so numpy's warnings are silenced
+        with np.errstate(over="ignore", invalid="ignore"):
+            ref = _reference_ilut(block, droptol)
+        _assert_same_factors(ilut(block, droptol), ref)
+
+    def test_zero_and_absent_pivots(self):
+        # row 0 has no diagonal, row 1 an explicit zero one, row 3 is empty
+        rows = [0, 0, 1, 1, 1, 2, 2, 2, 4, 4, 4]
+        cols = [1, 4, 0, 1, 2, 1, 2, 4, 0, 2, 4]
+        vals = [2.0, 1.0, 1.0, 0.0, 3.0, 1.0, 4.0, 1.0, 1.0, 1.0, 2.0]
+        A = sp.csr_matrix((vals, (rows, cols)), shape=(5, 5))
+        assert A.nnz == 11
+        for droptol in (0.0, 1e-3, 1e-2, 0.5):
+            f = ilut(A, droptol)
+            assert f.pivot_repairs >= 2   # rows 0 and 3 at least
+            _assert_same_factors(f, _reference_ilut(A, droptol))
+
+    def test_zero_factor_fill_keeps_its_sign(self):
+        # at droptol 0 the explicit zero A[2, 0] gives a kept factor of 0.0;
+        # its fill at column 1 is 0.0 - 0.0 * 1.0 = +0.0 (not -0.0), and the
+        # factor taken from it is stored in L with that sign
+        A = sp.csr_matrix(([2.0, 1.0, 1.0, 0.0, 1.0], ([0, 0, 1, 2, 2], [0, 1, 1, 0, 2])),
+                          shape=(3, 3))
+        f = ilut(A, 0.0)
+        assert f.L.nnz == 5 and not np.signbit(f.L.data).any()
+        _assert_same_factors(f, _reference_ilut(A, 0.0))

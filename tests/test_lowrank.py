@@ -82,6 +82,22 @@ class TestArnoldi:
         with pytest.raises(ValueError):
             arnoldi(lambda v: v, 5, -1)
 
+    @pytest.mark.parametrize("request_rank", [10, 20])
+    def test_breakdown_is_scale_invariant(self, request_rank):
+        # SPD of rank 10 (eigenvalues 1..10): the Krylov space from a generic
+        # start has dimension 11, so a request of 20 stops short of it
+        Q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((40, 40)))
+        M = (Q[:, :10] * np.arange(1.0, 11.0)) @ Q[:, :10].T
+        ranks = []
+        for scale in (1e-20, 1.0, 1e20):
+            S = scale * M
+            ranks.append(arnoldi(lambda v: S @ v, 40, request_rank, seed=0)[2])
+        assert ranks[0] == ranks[1] == ranks[2]
+        if request_rank == 10:
+            assert ranks[1] == 10
+        else:
+            assert 11 <= ranks[1] <= 12
+
 
 class TestCorrection:
     def test_woodbury_core(self):

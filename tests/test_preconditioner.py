@@ -84,6 +84,14 @@ class TestApply:
         assert prec.converged
         assert prec.iterations < plain.iterations
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_matrix_rejected(self, bad):
+        A = lap1d(10).tolil()
+        A[3, 3] = bad
+        A[7, 6] = bad
+        with pytest.raises(ValueError, match="2 non-finite entries"):
+            build(A.tocsr(), PslrConfig(num_subdomains=2, rank=2))
+
     def test_length_checked(self):
         P = build(lap1d(10), PslrConfig(num_subdomains=2, rank=2))
         with pytest.raises(ValueError):

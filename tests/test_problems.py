@@ -122,6 +122,8 @@ class TestParseProblem:
         "lap3d",                # no args
         "unknown:1,1,1,0",      # bad kind
         "lap3d:a,b,c,d",        # non-numeric
+        "lap3d:4,4,4,nan",      # non-finite shift
+        "convdiff3d:3,3,3,0,inf,0,0",   # non-finite convection
     ])
     def test_malformed(self, text):
         with pytest.raises(ValueError):

@@ -160,6 +160,15 @@ class TestMatrixMarket:
             read_matrix_market(path)
         assert exc.value.line == 1
 
+    def test_nonfinite_rejected(self, tmp_path):
+        path = tmp_path / "nan.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real general\n3 3 4\n"
+                        "1 1 1.0\n2 2 nan\n3 3 -inf\n3 1 inf\n")
+        with pytest.raises(MatrixMarketError) as exc:
+            read_matrix_market(path)
+        assert exc.value.line == 4
+        assert "3 non-finite entries" in str(exc.value)
+
     def test_duplicates_summed(self, tmp_path):
         path = tmp_path / "dup.mtx"
         path.write_text("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.5\n1 1 2.5\n")
