@@ -6,8 +6,8 @@ right-hand side is generated as A x with a seeded random x, and the solve
 starts from a zero initial guess.
 
 Exit codes: 0 converged, 1 input/usage error or a build or solve that cannot
-proceed (CG on a matrix that is not SPD, a singular correction core), 2 solver
-failed to converge.
+proceed (CG on a matrix that is not SPD, a singular correction core, GMRES
+stopped by non-finite values), 2 solver failed to converge.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from dataclasses import dataclass, asdict, field
 import numpy as np
 
 from . import preconditioner
+from ._main import _THREAD_VARS
 from .diagnostics import dense_schur, emit_spectrum_csv, spectrum, DENSE_GUARD
 from .krylov import NotSpdError, cg, gmres
 from .lowrank import CorrectionSingularError, arnoldi, build_correction
@@ -85,8 +86,8 @@ def _add_common_flags(p: argparse.ArgumentParser):
                    help="GMRES restart length (0 = full)")
     p.add_argument("--seed", type=int, default=_env_default("seed", 0, int))
     p.add_argument("--threads", type=int, default=_env_default("threads", 0, int),
-                   help="BLAS threads (0 = hardware default); takes effect through the "
-                        "pslr launcher, which exports it before numpy loads")
+                   help="BLAS threads (0 = hardware default); takes effect through "
+                        "`pslr` or `python -m pslr`, which export it before numpy loads")
     p.add_argument("--out", default=_env_default("out", None, str),
                    help="output path (JSON for solve, CSV for sweep/spectrum)")
     p.add_argument("--partition-out", default=_env_default("partition_out", None, str),
@@ -273,13 +274,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _warn_unapplied_threads(threads: int):
+    """Say so when a --threads request cannot reach the BLAS pool.
+
+    Only the launcher (`pslr`, `python -m pslr`) exports the thread-count
+    variables before numpy loads; called any other way, the request is
+    recorded in the manifest but the pool keeps its size.
+    """
+    if threads > 0 and any(os.environ.get(v) != str(threads) for v in _THREAD_VARS):
+        print(f"warning: --threads {threads} is recorded but not applied; only `pslr` "
+              "and `python -m pslr` size the BLAS pool before numpy loads", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    _warn_unapplied_threads(args.threads)
     manifest = _manifest_from_args(args)
     handler = {"solve": cmd_solve, "sweep": cmd_sweep, "spectrum": cmd_spectrum}[args.command]
     try:
         return handler(manifest)
-    except (OSError, ValueError, np.linalg.LinAlgError, NotSpdError,
+    except (OSError, ValueError, ArithmeticError, np.linalg.LinAlgError, NotSpdError,
             CorrectionSingularError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

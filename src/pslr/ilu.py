@@ -14,7 +14,9 @@ updates of later rows, and L and U are appended row by row to CSR
 
 The assembled block factors are prepared for solving once, when they are
 built: each triangular factor is handed to SuperLU in natural order with no
-pivoting, which stores it unchanged.  A block solve is then two compiled
+pivoting and no relaxed supernodes, which stores it unchanged.  The two
+SuperLU objects are then the only stored copy of a block factor; `L` and `U`
+are converted back to CSR when they are read.  A block solve is two compiled
 triangular sweeps with no per-call conversion.
 """
 
@@ -125,19 +127,28 @@ def ilut(block, droptol: float = 1e-2) -> IluFactor:
 class BlockILU:
     """Independent ILUT factors of the diagonal blocks of a block matrix.
 
-    `L` and `U` are the assembled block-diagonal factors, so one pair of
-    triangular solves applies every per-block solve at once; `nnz` and
-    `pivot_repairs` are summed over the blocks.  `lower` and `upper` hold
-    `L` and `U` prepared for solving (None when `n == 0`).
+    The factors are held once, assembled block-diagonally so that one pair
+    of triangular solves applies every per-block solve at once: `lower`
+    holds the unit-lower `L` and `upper` the upper `U`, prepared for solving
+    (both None when `n == 0`).  The read-only `L` and `U` convert them back
+    to CSR on each read; SuperLU does not store the exact zeros ILUT may
+    keep, so those are absent from them.  `nnz` and `pivot_repairs` are
+    ILUT's counts, summed over the blocks.
     """
 
-    L: sp.csr_matrix
-    U: sp.csr_matrix
     n: int
     nnz: int
     pivot_repairs: int
     lower: SuperLU | None
     upper: SuperLU | None
+
+    @property
+    def L(self) -> sp.csr_matrix:
+        return sp.csr_matrix(self.lower.L if self.n else (0, 0))
+
+    @property
+    def U(self) -> sp.csr_matrix:
+        return sp.csr_matrix(self.upper.U if self.n else (0, 0))
 
 
 def _prepare(T: sp.csr_matrix) -> SuperLU:
@@ -145,9 +156,12 @@ def _prepare(T: sp.csr_matrix) -> SuperLU:
 
     Natural ordering and a zero pivot threshold keep every diagonal pivot,
     so SuperLU's factors are `T` itself and an identity, and solving with
-    the object is a triangular sweep with `T`.
+    the object is a triangular sweep with `T`.  `relax=1` turns off relaxed
+    supernodes: they amalgamate small subtrees into dense blocks to speed up
+    a factorization, but `T` is already factored, so they would only make
+    every sweep run dense kernels over the zeros they add.
     """
-    return splu(T.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0)
+    return splu(T.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0, relax=1)
 
 
 def factor_blocks(A, block_sizes, droptol: float = 1e-2) -> BlockILU:
@@ -161,16 +175,14 @@ def factor_blocks(A, block_sizes, droptol: float = 1e-2) -> BlockILU:
     for b in range(sizes.size):
         lo, hi = offsets[b], offsets[b + 1]
         factors.append(ilut(A[lo:hi, lo:hi], droptol=droptol))
-    if factors:
-        L = sp.block_diag([f.L for f in factors], format="csr")
-        U = sp.block_diag([f.U for f in factors], format="csr")
-    else:
-        L = sp.csr_matrix((0, 0))
-        U = sp.csr_matrix((0, 0))
     n = A.shape[0]
-    return BlockILU(L=L, U=U, n=n, nnz=sum(f.nnz for f in factors),
+    lower = upper = None
+    if n:
+        lower = _prepare(sp.block_diag([f.L for f in factors], format="csr"))
+        upper = _prepare(sp.block_diag([f.U for f in factors], format="csr"))
+    return BlockILU(n=n, nnz=sum(f.nnz for f in factors),
                     pivot_repairs=sum(f.pivot_repairs for f in factors),
-                    lower=_prepare(L) if n else None, upper=_prepare(U) if n else None)
+                    lower=lower, upper=upper)
 
 
 def block_solve(filu: BlockILU, rhs) -> np.ndarray:

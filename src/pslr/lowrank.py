@@ -37,7 +37,7 @@ class LowRankCorrection:
 
 
 def arnoldi(op, dim: int, rank: int, seed: int = 0):
-    """Modified Gram-Schmidt Arnoldi with one reorthogonalization pass.
+    """Arnoldi with classical Gram-Schmidt and one reorthogonalization pass.
 
     `op` maps length-`dim` vectors to length-`dim` vectors.  The start
     vector is a normalized seeded pseudo-random vector.  Returns (V, H, r)

@@ -158,6 +158,8 @@ def build(A, cfg: PslrConfig) -> PslrPreconditioner:
     A = canonical(A)
     if A.shape[0] != A.shape[1]:
         raise ValueError("matrix must be square")
+    if A.nnz == 0:
+        raise ValueError("matrix has no stored entries")
     nonfinite = int(np.count_nonzero(~np.isfinite(A.data)))
     if nonfinite:
         raise ValueError(f"matrix has {nonfinite} non-finite entries (nan or inf)")

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import strategies as st
 
 # one "criterion NN PASS/FAIL" line per acceptance criterion, echoed in the
 # terminal summary so a full run always shows every verdict
@@ -43,6 +44,25 @@ def random_sparse(n, density=0.1, seed=0, diag_boost=4.0):
     A = sp.random(n, n, density=density, random_state=seed, format="csr",
                   data_rvs=np.random.default_rng(seed).standard_normal)
     return (A + diag_boost * sp.identity(n)).tocsr()
+
+
+@st.composite
+def sparse_matrices(draw, max_n, per_row=4, scales=None):
+    """Random square sparse matrices of finite values, n <= max_n: duplicates,
+    explicit zeros, empty rows, and diagonals that may be zero or absent.
+    Small integer values make exact cancellation, and so exact-zero fill,
+    likely. With `scales`, every value is multiplied by one drawn from it."""
+    n = draw(st.integers(1, max_n))
+    coords = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    values = st.one_of(st.integers(-3, 3).map(float),
+                       st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False))
+    entries = draw(st.lists(st.tuples(coords, values), max_size=per_row * n))
+    diag = draw(st.lists(st.one_of(st.none(), values), min_size=n, max_size=n))
+    scale = draw(st.sampled_from(scales)) if scales else 1.0
+    rows = [i for (i, _), _ in entries] + [i for i, d in enumerate(diag) if d is not None]
+    cols = [j for (_, j), _ in entries] + [i for i, d in enumerate(diag) if d is not None]
+    vals = [v for _, v in entries] + [d for d in diag if d is not None]
+    return sp.csr_matrix(([scale * v for v in vals], (rows, cols)), shape=(n, n))
 
 
 def partitioned(A, s):

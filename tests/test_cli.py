@@ -98,6 +98,29 @@ class TestSolve:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "correction singular" in err
 
+    def test_diverging_solve_is_an_error(self, tmp_path, capsys):
+        # pivots of 1e-196 and 1e-115 beside entries of 3e8: the
+        # preconditioner overflows, and GMRES stops on the non-finite values
+        mtx = tmp_path / "overflow.mtx"
+        mtx.write_text("%%MatrixMarket matrix coordinate real general\n6 6 6\n"
+                       "1 1 2.6195489410610631e-196\n1 6 -300000000\n2 2 -300000000\n"
+                       "3 3 200000000\n6 3 300000000\n6 6 -5.1349076380786693e-115\n")
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["solve", "--matrix", str(mtx), "--s", "2", "--m", "0",
+                         "--rank", "0", "--droptol", "0.01"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "GMRES diverged" in err
+
+    def test_matrix_without_entries_is_an_error(self, tmp_path, capsys):
+        mtx = tmp_path / "empty.mtx"
+        mtx.write_text("%%MatrixMarket matrix coordinate real general\n4 4 0\n")
+        assert main(["solve", "--matrix", str(mtx), "--s", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "no stored entries" in err
+
     def test_cg_on_spd(self, tmp_path):
         out = tmp_path / "o.json"
         code = main(["solve", "--problem", PROBLEM, "--s", "4", "--rank", "0",
@@ -316,3 +339,25 @@ def test_console_entry_point():
 def test_installed_console_script():
     _assert_help(subprocess.run([shutil.which("pslr"), "--help"],
                                 capture_output=True, text=True))
+
+
+class TestThreadsWarning:
+    ARGS = ["solve", "--problem", "lap3d:4,4,4,0.0", "--s", "2", "--rank", "2"]
+
+    def test_in_process_request_warns(self, tmp_path, monkeypatch, capsys):
+        from pslr._main import _THREAD_VARS
+        for var in _THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        code = main([*self.ARGS, "--threads", "2", "--out", str(tmp_path / "o.json")])
+        assert code == 0
+        warnings = [ln for ln in capsys.readouterr().err.splitlines()
+                    if ln.startswith("warning:")]
+        assert len(warnings) == 1 and "--threads 2" in warnings[0]
+        assert json.loads((tmp_path / "o.json").read_text())["manifest"]["threads"] == 2
+
+    def test_launcher_request_is_silent(self, tmp_path):
+        out = tmp_path / "o.json"
+        proc = _run_child(["-m", "pslr", *self.ARGS, "--threads", "1", "--out", str(out)])
+        assert proc.returncode == 0, proc.stderr
+        assert "warning:" not in proc.stderr
+        assert json.loads(out.read_text())["manifest"]["threads"] == 1

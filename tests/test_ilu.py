@@ -1,4 +1,5 @@
 import heapq
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from pslr.problems import parse_problem
 from pslr.schur import _block_diag_part
 from pslr.sparse import canonical
 
-from conftest import lap1d, partitioned, random_sparse
+from conftest import lap1d, partitioned, random_sparse, sparse_matrices
 
 
 def _reference_ilut(block, droptol: float = 1e-2) -> IluFactor:
@@ -108,13 +109,18 @@ def _reference_ilut(block, droptol: float = 1e-2) -> IluFactor:
     return IluFactor(L=L, U=U, n=n, pivot_repairs=pivot_repairs)
 
 
+def _assert_same_csr(M, R):
+    """Exactly the same CSR arrays, to the bit."""
+    np.testing.assert_array_equal(M.indptr, R.indptr)
+    np.testing.assert_array_equal(M.indices, R.indices)
+    assert M.data.dtype == R.data.dtype == np.float64
+    np.testing.assert_array_equal(M.data.view(np.int64), R.data.view(np.int64))
+
+
 def _assert_same_factors(f, ref):
-    """Exactly the same CSR arrays, to the bit, and the same repair count."""
-    for M, R in ((f.L, ref.L), (f.U, ref.U)):
-        np.testing.assert_array_equal(M.indptr, R.indptr)
-        np.testing.assert_array_equal(M.indices, R.indices)
-        assert M.data.dtype == R.data.dtype == np.float64
-        np.testing.assert_array_equal(M.data.view(np.int64), R.data.view(np.int64))
+    """Exactly the same CSR factors and the same repair count."""
+    _assert_same_csr(f.L, ref.L)
+    _assert_same_csr(f.U, ref.U)
     assert f.pivot_repairs == ref.pivot_repairs
 
 
@@ -284,17 +290,40 @@ class TestPreparedSolve:
 
     @pytest.mark.parametrize("blocks,droptol", _BLOCK_CASES)
     def test_prepared_factors_are_the_ilu_factors(self, blocks, droptol):
-        # no reordering and no re-pivoting: SuperLU keeps L and U as given
+        # no reordering and no re-pivoting: SuperLU keeps L and U as given,
+        # so the factors read back from it are the standalone ILUT factors
         bf = _factor_case(blocks, droptol)
         ident = np.arange(bf.n)
         eye = sp.identity(bf.n, format="csc")
         for solver in (bf.lower, bf.upper):
             np.testing.assert_array_equal(solver.perm_r, ident)
             np.testing.assert_array_equal(solver.perm_c, ident)
-        assert abs(bf.lower.L - bf.L).max() == 0.0
         assert abs(bf.lower.U - eye).max() == 0.0
         assert abs(bf.upper.L - eye).max() == 0.0
-        assert abs(bf.upper.U - bf.U).max() == 0.0
+        factors = [ilut(blk, droptol) for blk in blocks]
+        for M, R in ((bf.L, sp.block_diag([f.L for f in factors], format="csr")),
+                     (bf.U, sp.block_diag([f.U for f in factors], format="csr"))):
+            _assert_same_csr(M, R)
+
+    def test_factors_stored_once(self):
+        bf = _factor_case(*_BLOCK_CASES[1])
+        stored = [name for name, value in vars(bf).items() if sp.issparse(value)]
+        assert stored == []
+
+    def test_stored_zero_multiplier(self):
+        # at droptol 0 the explicit zero A[2, 0] gives a kept multiplier of
+        # 0.0: ILUT stores it and counts it, SuperLU drops it from L
+        A = sp.csr_matrix(([2.0, 1.0, 0.0, 1.0], ([0, 1, 2, 2], [0, 1, 0, 2])), shape=(3, 3))
+        f = ilut(A, 0.0)
+        bf = factor_blocks(A, [3], droptol=0.0)
+        assert f.L.nnz == 4 and bf.L.nnz == 3
+        assert bf.nnz == f.nnz == 7
+        np.testing.assert_array_equal(bf.L.toarray(), f.L.toarray())
+        _assert_same_csr(bf.U, f.U)
+        rhs = np.array([1.0, -2.0, 3.0])
+        y = sp.linalg.spsolve_triangular(f.L, rhs, lower=True, unit_diagonal=True)
+        np.testing.assert_array_equal(block_solve(bf, rhs),
+                                      sp.linalg.spsolve_triangular(f.U, y, lower=False))
 
     def test_reused_factors_match_fresh_ones(self):
         bf = _factor_case(*_BLOCK_CASES[2])
@@ -316,21 +345,8 @@ def _diagonal_blocks(problem, s):
             yield M[lo:hi, lo:hi]
 
 
-@st.composite
-def _sparse_blocks(draw):
-    """Small random blocks: duplicates, explicit zeros, empty rows, and
-    diagonals that may be zero or absent. Small integer values make exact
-    cancellation, and so exact-zero fill, likely."""
-    n = draw(st.integers(1, 14))
-    coords = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
-    values = st.one_of(st.integers(-3, 3).map(float),
-                       st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False))
-    entries = draw(st.lists(st.tuples(coords, values), max_size=4 * n))
-    diag = draw(st.lists(st.one_of(st.none(), values), min_size=n, max_size=n))
-    rows = [i for (i, _), _ in entries] + [i for i, d in enumerate(diag) if d is not None]
-    cols = [j for (_, j), _ in entries] + [i for i, d in enumerate(diag) if d is not None]
-    vals = [v for _, v in entries] + [d for d in diag if d is not None]
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+# small blocks, for exact comparisons with the reference ILUT
+_sparse_blocks = partial(sparse_matrices, 14)
 
 
 class TestAgainstReference:
@@ -374,3 +390,54 @@ class TestAgainstReference:
         f = ilut(A, 0.0)
         assert f.L.nnz == 5 and not np.signbit(f.L.data).any()
         _assert_same_factors(f, _reference_ilut(A, 0.0))
+
+
+def _skeel(T, x):
+    """Componentwise condition of the triangular solve T z = b at z = x:
+    || |T^-1| |T| |x| ||_inf / ||x||_inf (Skeel)."""
+    T = T.toarray()
+    return (np.abs(np.linalg.inv(T)) @ (np.abs(T) @ np.abs(x))).max() / np.abs(x).max()
+
+
+class TestPreparedRandomBlocks:
+    def test_factors_and_solve(self):
+        """Derived factors equal the ILUT factors in value, and `block_solve`
+        equals the two-`spsolve_triangular` oracle to 1e-12 relative, on 200
+        derandomized sets of 1-3 random blocks.
+
+        Repaired pivots (eps times the row norm at droptol 0) can make the
+        oracle itself ill-conditioned. The solve comparison skips a case
+        whose rounding bound n * eps * kappa(L, y) * kappa(U, x), with Skeel's
+        componentwise condition numbers, exceeds the tolerance, or whose
+        oracle solution overflows: 4 of the 200 here.
+        """
+        eps = np.finfo(np.float64).eps
+        skipped = []
+
+        @settings(max_examples=200, deadline=None, derandomize=True)
+        @given(blocks=st.lists(_sparse_blocks(), min_size=1, max_size=3),
+               droptol=st.sampled_from([0.0, 1e-3, 1e-2, 0.5]))
+        def check(blocks, droptol):
+            A = sp.block_diag(blocks, format="csr")
+            n = A.shape[0]
+            rhs = np.random.default_rng(n).standard_normal(n)
+            with np.errstate(over="ignore", invalid="ignore"):
+                factors = [ilut(blk, droptol) for blk in blocks]
+                L = sp.block_diag([f.L for f in factors], format="csr")
+                U = sp.block_diag([f.U for f in factors], format="csr")
+                bf = factor_blocks(A, [blk.shape[0] for blk in blocks], droptol)
+                np.testing.assert_array_equal(bf.L.toarray(), L.toarray())
+                np.testing.assert_array_equal(bf.U.toarray(), U.toarray())
+                assert bf.nnz == L.nnz + U.nnz
+                y = sp.linalg.spsolve_triangular(L, rhs, lower=True, unit_diagonal=True)
+                ref = sp.linalg.spsolve_triangular(U, y, lower=False)
+                if (not np.isfinite(ref).all()
+                        or n * eps * _skeel(L, y) * _skeel(U, ref) > 1e-12):
+                    skipped.append(droptol)
+                    return
+            out = block_solve(bf, rhs)
+            # max norms: a finite ref can still overflow a 2-norm
+            assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
+
+        check()
+        assert len(skipped) <= 20

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from pslr.diagnostics import dense_schur
 from pslr.krylov import gmres
@@ -91,6 +92,10 @@ class TestApply:
         A[7, 6] = bad
         with pytest.raises(ValueError, match="2 non-finite entries"):
             build(A.tocsr(), PslrConfig(num_subdomains=2, rank=2))
+
+    def test_matrix_without_entries_rejected(self):
+        with pytest.raises(ValueError, match="no stored entries"):
+            build(sp.csr_matrix((5, 5)), PslrConfig(num_subdomains=2, rank=2))
 
     def test_length_checked(self):
         P = build(lap1d(10), PslrConfig(num_subdomains=2, rank=2))
