@@ -2,10 +2,12 @@
 
 The same functionality shown in the other demos is reachable without writing
 Python: `pslr solve` runs one build+solve and emits a JSON stats record,
-`pslr sweep` tabulates a parameter sweep as CSV, and `pslr spectrum` dumps
-dense-oracle eigenvalues as re,im CSV.  Matrices come from Matrix Market
-files (--matrix) or generated test problems (--problem).  Every flag can be
-set through a PSLR_-prefixed environment variable.
+`pslr sweep` tabulates a parameter sweep as CSV, and `pslr spectrum` lists
+the eigenvalues of one operator of the built preconditioner (ILUT factors at
+--droptol; exact at --droptol 0) as re,im CSV.  Matrices come from Matrix
+Market files (--matrix) or generated test problems (--problem).  Every flag
+but --axis, --values and --target can be set through a PSLR_-prefixed
+environment variable.
 
 Run:  python demos/05_cli_tour.py
 """

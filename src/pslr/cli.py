@@ -1,13 +1,14 @@
 """Command-line front end: solve, sweep, and spectrum subcommands.
 
-Every flag can also be supplied through an environment variable with the
-``PSLR_`` prefix (e.g. ``PSLR_DROPTOL=1e-3``); explicit flags win.  The
-right-hand side is generated as A x with a seeded random x, and the solve
-starts from a zero initial guess.
+Each subcommand accepts only the flags it reads.  All of them but ``--axis``,
+``--values`` and ``--target`` can also be set through an environment variable
+with the ``PSLR_`` prefix (e.g. ``PSLR_DROPTOL=1e-3``); explicit flags win.  The
+right-hand side is A x with a seeded random x, and the solve starts from zero.
 
-Exit codes: 0 converged, 1 input/usage error or a build or solve that cannot
-proceed (CG on a matrix that is not SPD, a singular correction core, GMRES
-stopped by non-finite values), 2 solver failed to converge.
+Exit codes: 0 converged, 1 input/usage error (a bad flag or ``PSLR_`` value
+included) or a build or solve that cannot proceed (CG on a matrix that is not
+SPD, a singular correction core, GMRES stopped by non-finite values), 2 solver
+failed to converge.
 """
 
 from __future__ import annotations
@@ -22,15 +23,19 @@ import numpy as np
 
 from . import preconditioner
 from ._main import _THREAD_VARS
-from .diagnostics import dense_schur, emit_spectrum_csv, spectrum, DENSE_GUARD
+from .diagnostics import DENSE_GUARD, spectrum, spectrum_csv
 from .krylov import NotSpdError, cg, gmres
-from .lowrank import CorrectionSingularError, arnoldi, build_correction
-from .partition import classify_and_reorder, partition_graph, save_assignment_json
+from .lowrank import CorrectionSingularError, apply_correction
+from .partition import save_assignment_json
 from .preconditioner import PslrConfig, PslrPreconditioner
 from .problems import parse_problem
-# unused here; kept because perfbench/spans.py wraps both names on this module
-from .schur import apply_Err, build_schur_context  # noqa: F401
+from .schur import apply_Err, apply_Es, apply_neumann, apply_S, solve_C0
 from .sparse import read_matrix_market
+# partition_graph, classify_and_reorder, build_schur_context, arnoldi and build_correction
+# are unused here; they stay because perfbench/spans.py wraps them on this module
+from .lowrank import arnoldi, build_correction  # noqa: F401
+from .partition import classify_and_reorder, partition_graph  # noqa: F401
+from .schur import build_schur_context  # noqa: F401
 
 
 @dataclass
@@ -59,51 +64,50 @@ class RunManifest:
         return asdict(self)
 
 
-def _env_default(name, fallback, cast):
-    raw = os.environ.get("PSLR_" + name.upper())
-    if raw is None:
-        return fallback
-    return cast(raw)
+class _Parser(argparse.ArgumentParser):
+    """Usage errors, bad PSLR_ values included, exit 1 with one `error:` line, not 2."""
+
+    def error(self, message):
+        self.exit(1, f"error: {message}\n")
+
+    def flag(self, name, type=str, **kwargs):
+        """Add --name; PSLR_<NAME>, when set, replaces RunManifest's default."""
+        dest = name.replace("-", "_")
+        env, default = "PSLR_" + dest.upper(), getattr(RunManifest, dest)
+        if env in os.environ:
+            raw = os.environ[env]
+            try:
+                default = type(raw)
+            except ValueError:
+                self.error(f"{env}: invalid {type.__name__} value: {raw!r}")
+            if default not in kwargs.get("choices", [default]):
+                self.error(f"{env}: invalid choice: {raw!r} (choose from {kwargs['choices']})")
+        self.add_argument("--" + name, type=type, default=default, **kwargs)
 
 
-def _add_common_flags(p: argparse.ArgumentParser):
-    p.add_argument("--matrix", default=_env_default("matrix", None, str),
-                   help="Matrix Market file")
-    p.add_argument("--problem", default=_env_default("problem", None, str),
-                   help="problem string, e.g. lap3d:20,20,20,0.05")
-    p.add_argument("--s", type=int, default=_env_default("s", 8, int),
-                   help="number of subdomains")
-    p.add_argument("--m", type=int, default=_env_default("m", 3, int),
-                   help="power-series degree (m+1 terms)")
-    p.add_argument("--rank", type=int, default=_env_default("rank", 15, int),
-                   help="low-rank correction rank")
-    p.add_argument("--droptol", type=float, default=_env_default("droptol", 1e-2, float))
-    p.add_argument("--krylov", choices=("gmres", "cg"),
-                   default=_env_default("krylov", "gmres", str))
-    p.add_argument("--tol", type=float, default=_env_default("tol", 1e-8, float))
-    p.add_argument("--maxit", type=int, default=_env_default("maxit", 500, int))
-    p.add_argument("--restart", type=int, default=_env_default("restart", 0, int),
-                   help="GMRES restart length (0 = full)")
-    p.add_argument("--seed", type=int, default=_env_default("seed", 0, int))
-    p.add_argument("--threads", type=int, default=_env_default("threads", 0, int),
-                   help="BLAS threads (0 = hardware default); takes effect through "
-                        "`pslr` or `python -m pslr`, which export it before numpy loads")
-    p.add_argument("--out", default=_env_default("out", None, str),
-                   help="output path (JSON for solve, CSV for sweep/spectrum)")
-    p.add_argument("--partition-out", default=_env_default("partition_out", None, str),
-                   help="optional JSON dump of the vertex -> subdomain map")
+def _add_run_flags(p: _Parser):
+    """The input, build, --threads and --out flags every subcommand reads."""
+    p.flag("matrix", help="Matrix Market file")
+    p.flag("problem", help="problem string, e.g. lap3d:20,20,20,0.05")
+    p.flag("s", int, help="number of subdomains")
+    p.flag("m", int, help="power-series degree (m+1 terms)")
+    p.flag("rank", int, help="low-rank correction rank")
+    p.flag("droptol", float)
+    p.flag("seed", int)
+    p.flag("threads", int, help="BLAS threads (0 = hardware default); takes effect through "
+                                "`pslr` or `python -m pslr`, which export it before numpy loads")
+    p.flag("out", help="output path (JSON for solve, CSV for sweep/spectrum)")
+
+
+def _add_krylov_flags(p: _Parser):
+    p.flag("krylov", choices=("gmres", "cg"))
+    p.flag("tol", float)
+    p.flag("maxit", int)
+    p.flag("restart", int, help="GMRES restart length (0 = full)")
 
 
 def _manifest_from_args(args) -> RunManifest:
-    return RunManifest(
-        matrix=args.matrix, problem=args.problem, s=args.s, m=args.m, rank=args.rank,
-        droptol=args.droptol, krylov=args.krylov, tol=args.tol, maxit=args.maxit,
-        restart=args.restart, seed=args.seed, threads=args.threads, out=args.out,
-        partition_out=getattr(args, "partition_out", None),
-        axis=getattr(args, "axis", None),
-        values=list(getattr(args, "values", []) or []),
-        target=getattr(args, "target", None),
-    )
+    return RunManifest(**{k: v for k, v in vars(args).items() if k != "command"})
 
 
 def _load_matrix(manifest: RunManifest):
@@ -189,11 +193,7 @@ def cmd_sweep(manifest: RunManifest) -> int:
     """
     A = _load_matrix(manifest)
     axis = manifest.axis
-    values = [int(v) for v in manifest.values]
-    if axis not in ("s", "m", "rank"):
-        raise ValueError("sweep axis must be one of s, m, rank")
-    if not values:
-        raise ValueError("sweep needs at least one axis value")
+    values = manifest.values
 
     if axis == "s":
         derive = lambda s: preconditioner.build(A, _config(manifest, num_subdomains=s))
@@ -220,57 +220,53 @@ def cmd_sweep(manifest: RunManifest) -> int:
     return 0
 
 
+# the operator each `spectrum --target` forms, applied to a block of interface vectors
+SPECTRUM_TARGETS = {
+    "EsC0inv": lambda P, X: apply_Es(P.ctx, solve_C0(P.ctx, X)),
+    "Err": lambda P, X: apply_Err(P.ctx, P.series_degree, X),
+    "precS": lambda P, X: apply_neumann(P.ctx, P.series_degree,
+                                        apply_correction(P.correction, apply_S(P.ctx, X))),
+}
+
+
 def cmd_spectrum(manifest: RunManifest) -> int:
-    """Dense-oracle spectrum CSV for one of the derived operators."""
+    """Eigenvalues of one operator of the built preconditioner, as re,im CSV.
+
+    The operator is the one a solve applies, with the ILUT factors at --droptol
+    (exact at --droptol 0).  It is formed densely, so n is capped at DENSE_GUARD.
+    """
     A = _load_matrix(manifest)
     if A.shape[0] > DENSE_GUARD:
-        raise ValueError(
-            f"dimension {A.shape[0]} exceeds the dense-oracle guard {DENSE_GUARD}; "
-            "use a smaller grid")
-    target = manifest.target
-    if target not in ("EsC0inv", "Err", "precS"):
-        raise ValueError("spectrum target must be one of EsC0inv, Err, precS")
-    spec = partition_graph(A, manifest.s)
-    system = classify_and_reorder(A, spec)
-    oracle = dense_schur(system)
-    if target == "EsC0inv":
-        M = oracle.Es @ oracle.C0inv
-    elif target == "Err":
-        M = oracle.err_matrix(manifest.m)
-    else:
-        V, H, r = arnoldi(lambda v: oracle.err_matrix(manifest.m) @ v,
-                          oracle.q, manifest.rank, seed=manifest.seed)
-        corr = build_correction(V, H)
-        M = oracle.sapp_inv(manifest.m, corr.V, corr.G) @ oracle.S
-    report = spectrum(M)
-    out = manifest.out
-    if out:
-        emit_spectrum_csv(report, out)
-    else:
-        sys.stdout.write("re,im\n")
-        for lam in report.eigenvalues:
-            sys.stdout.write(f"{lam.real!r},{lam.imag!r}\n")
+        raise ValueError(f"dimension {A.shape[0]} exceeds the dense spectrum guard "
+                         f"{DENSE_GUARD}; use a smaller grid")
+    P = preconditioner.build(A, _config(manifest))
+    M = SPECTRUM_TARGETS[manifest.target](P, np.eye(P.system.q))
+    _emit(spectrum_csv(spectrum(M)), manifest.out)
     return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pslr",
         description="Sparse solves with the power-series + low-rank Schur preconditioner")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", help="build the preconditioner and solve once")
-    _add_common_flags(p_solve)
+    _add_run_flags(p_solve)
+    _add_krylov_flags(p_solve)
+    p_solve.flag("partition-out", help="optional JSON dump of the vertex -> subdomain map")
 
     p_sweep = sub.add_parser("sweep", help="solve across a parameter axis, CSV output")
-    _add_common_flags(p_sweep)
+    _add_run_flags(p_sweep)
+    _add_krylov_flags(p_sweep)
     p_sweep.add_argument("--axis", choices=("s", "m", "rank"), required=True)
     p_sweep.add_argument("--values", type=lambda t: [int(x) for x in t.split(",")],
                          required=True, help="comma-separated axis values")
 
-    p_spec = sub.add_parser("spectrum", help="dense-oracle spectrum CSV")
-    _add_common_flags(p_spec)
-    p_spec.add_argument("--target", choices=("EsC0inv", "Err", "precS"), required=True)
+    p_spec = sub.add_parser("spectrum", help="eigenvalues of an operator of the built "
+                                             "preconditioner at --droptol, CSV output")
+    _add_run_flags(p_spec)
+    p_spec.add_argument("--target", choices=SPECTRUM_TARGETS, required=True)
     return parser
 
 

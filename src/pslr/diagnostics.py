@@ -9,7 +9,6 @@ instances.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,10 +153,13 @@ def verify_bound(oracle: DenseOracle, m: int, V, H, G,
     }
 
 
+def spectrum_csv(report: SpectrumReport) -> str:
+    """Eigenvalues as two-column re,im CSV text, header included."""
+    rows = [f"{float(lam.real)!r},{float(lam.imag)!r}" for lam in report.eigenvalues]
+    return "\n".join(["re,im", *rows]) + "\n"
+
+
 def emit_spectrum_csv(report: SpectrumReport, path) -> None:
-    """Write eigenvalues as a two-column re,im CSV (header included)."""
+    """Write `spectrum_csv(report)` to `path`."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["re", "im"])
-        for lam in report.eigenvalues:
-            writer.writerow([repr(float(lam.real)), repr(float(lam.imag))])
+        fh.write(spectrum_csv(report))

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import shutil
 import subprocess
@@ -8,7 +9,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import pslr.cli
+import pslr.preconditioner
 from pslr.cli import build_parser, main
+from pslr.diagnostics import dense_schur
 from pslr.sparse import write_matrix_market
 
 from conftest import child_env, lap1d
@@ -145,6 +149,52 @@ class TestSolve:
         code, stats = run_solve(tmp_path, "--maxit", "300", "--tol", "1e-8")
         assert code == 0 and stats["converged"] is True
 
+    def test_manifest_fields(self, tmp_path):
+        _, stats = run_solve(tmp_path)
+        assert stats["manifest"] == {
+            "matrix": None, "problem": PROBLEM, "s": 4, "m": 3, "rank": 6, "droptol": 0.01,
+            "krylov": "gmres", "tol": 1e-8, "maxit": 500, "restart": 0, "seed": 0,
+            "threads": 0, "out": str(tmp_path / "stats.json"), "partition_out": None,
+            "axis": None, "values": [], "target": None}
+
+    @pytest.mark.parametrize("env, args", [({}, ["--s", "abc"]),
+                                           ({"PSLR_S": "abc"}, []),
+                                           ({"PSLR_KRYLOV": "bogus"}, [])],
+                             ids=["flag", "env-type", "env-choice"])
+    def test_bad_value_is_a_usage_error(self, monkeypatch, capsys, env, args):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        assert_usage_error(capsys, ["solve", "--problem", PROBLEM, *args])
+
+
+def assert_usage_error(capsys, argv):
+    """`main(argv)` exits 1 with one `error:` line, before any work."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--target", "Err", "--krylov", "cg"],
+    ["spectrum", "--target", "Err", "--tol", "1e-3"],
+    ["spectrum", "--target", "Err", "--maxit", "2"],
+    ["spectrum", "--target", "Err", "--restart", "5"],
+    ["spectrum", "--target", "Err", "--partition-out", "x"],
+    ["sweep", "--axis", "m", "--values", "1", "--partition-out", "x"],
+], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+def test_unread_flag_rejected(capsys, argv):
+    assert_usage_error(capsys, [*argv, "--problem", PROBLEM])
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep", "spectrum"])
+def test_help_exits_0(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert "--droptol" in capsys.readouterr().out
+
 
 class TestSweep:
     def _rows(self, text):
@@ -268,6 +318,68 @@ class TestSpectrum:
                          for r in rows])
         assert np.median(np.abs(eigs - 1.0)) < 0.5
 
+    @staticmethod
+    def _eigs(text):
+        rows = text.splitlines()
+        assert rows[0] == "re,im"
+        return np.array([complex(*map(float, r.split(","))) for r in rows[1:]])
+
+    def test_stdout_equals_out_file(self, tmp_path, capsys):
+        args = ["spectrum", "--problem", "lap3d:5,5,5,0.0", "--s", "4", "--target", "Err"]
+        out = tmp_path / "spec.csv"
+        assert main([*args, "--out", str(out)]) == 0
+        assert main(args) == 0
+        text = capsys.readouterr().out
+        assert text == out.read_bytes().decode()
+        assert "\r" not in text and text.endswith("\n")
+        for row in text.splitlines()[1:]:
+            re, im = row.split(",")
+            float(re), float(im)
+
+    @pytest.mark.parametrize("target, rtol", [("EsC0inv", 1e-12), ("Err", 1e-12),
+                                              ("precS", 1e-7)])
+    def test_exact_factors_match_dense_oracle(self, monkeypatch, capsys, target, rtol):
+        """At --droptol 0 the built operators are the exact ones; they come from
+        one `preconditioner.build`, not from the stages called on their own."""
+        built = []
+
+        def recording_build(*a, _fn=pslr.preconditioner.build, **k):
+            built.append(_fn(*a, **k))
+            return built[-1]
+
+        def stage_not_allowed(*a, **k):
+            raise AssertionError("spectrum must build through preconditioner.build")
+
+        monkeypatch.setattr(pslr.preconditioner, "build", recording_build)
+        for name in ("partition_graph", "classify_and_reorder", "build_schur_context",
+                     "arnoldi", "build_correction"):
+            monkeypatch.setattr(pslr.cli, name, stage_not_allowed)
+        assert not hasattr(pslr.cli, "dense_schur")
+        m = 4
+        assert main(["spectrum", "--problem", "lap3d:5,5,5,0.0", "--s", "4", "--m", str(m),
+                     "--rank", "8", "--droptol", "0", "--target", target]) == 0
+        eigs = self._eigs(capsys.readouterr().out)
+        [P] = built
+        assert P.correction.rank == 8
+        oracle = dense_schur(P.system)
+        M = {"EsC0inv": lambda: oracle.Es @ oracle.C0inv,
+             "Err": lambda: oracle.err_matrix(m),
+             "precS": lambda: oracle.sapp_inv(m, P.correction.V, P.correction.G) @ oracle.S,
+             }[target]()
+        ref = np.linalg.eigvals(M)
+        rho = np.abs(ref).max()
+        assert eigs.size == ref.size == P.system.q
+        assert np.abs(eigs[:, None] - ref[None, :]).min(axis=1).max() <= rtol * rho
+
+    def test_droptol_changes_spectrum(self, capsys):
+        args = ["spectrum", "--problem", "lap3d:5,5,5,0.0", "--s", "4", "--target", "EsC0inv"]
+        assert main([*args, "--droptol", "0"]) == 0
+        exact = self._eigs(capsys.readouterr().out)
+        assert main(args) == 0
+        ilut = self._eigs(capsys.readouterr().out)
+        assert exact.size == ilut.size
+        assert abs(np.abs(exact[0]) - np.abs(ilut[0])) > 1e-3
+
     def test_guard_exceeded(self):
         assert main(["spectrum", "--problem", "lap3d:20,20,20,0.0",
                      "--target", "EsC0inv"]) == 1
@@ -314,6 +426,17 @@ def test_public_names_resolve():
     for name in PUBLIC_NAMES:
         assert getattr(pslr, name) is not None, name
     assert set(PUBLIC_NAMES) - {"__version__"} <= set(pslr.__all__)
+
+
+def test_perfbench_patch_points_exist():
+    """perfbench/spans.py wraps names on pslr's modules and raises TraceCheckError
+    when one is gone; a rename must fail here, not only in the benchmark."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    with spans.Tracer("t").patched():
+        pass
 
 
 def test_launcher_loads_no_numpy():
