@@ -239,7 +239,9 @@ def cmd_spectrum(manifest: RunManifest) -> int:
     if A.shape[0] > DENSE_GUARD:
         raise ValueError(f"dimension {A.shape[0]} exceeds the dense spectrum guard "
                          f"{DENSE_GUARD}; use a smaller grid")
-    P = preconditioner.build(A, _config(manifest))
+    # only precS applies the correction: the other targets build none
+    rank = manifest.rank if manifest.target == "precS" else 0
+    P = preconditioner.build(A, _config(manifest, rank=rank))
     M = SPECTRUM_TARGETS[manifest.target](P, np.eye(P.system.q))
     _emit(spectrum_csv(spectrum(M)), manifest.out)
     return 0

@@ -6,18 +6,25 @@ the original row; the diagonal is never dropped.  A zero or absent pivot is
 repaired (never fatal) so the factorization survives indefinite blocks.
 
 The row loop runs on plain Python objects, with no numpy call per pivot.
-The working row is a dict from column to value; pivots are eliminated in
-increasing column order through a heap.  Each finished U row is kept as a
-pair of lists (the columns after the diagonal and their values) for the
-updates of later rows, and L and U are appended row by row to CSR
+The working row is a pair of lists indexed by column, made once per call:
+`val` holds the values and `mark` the last row that wrote each column, so a
+column counts as present in row i only while its mark is i and no entry has
+to be cleared between rows.  Pivots are eliminated in increasing column
+order through a heap; the columns after the diagonal are collected as they
+are written, so the U filter visits only those.  Each finished U row is
+kept as a list of (column, value) pairs after the diagonal for the updates
+of later rows, and L and U are appended row by row to CSR
 `indptr`/`indices`/`data` lists.
 
 The assembled block factors are prepared for solving once, when they are
 built: each triangular factor is handed to SuperLU in natural order with no
-pivoting and no relaxed supernodes, which stores it unchanged.  The two
-SuperLU objects are then the only stored copy of a block factor; `L` and `U`
-are converted back to CSR when they are read.  A block solve is two compiled
-triangular sweeps with no per-call conversion.
+pivoting and no relaxed supernodes, which stores it unchanged as its upper
+factor.  The unit-lower `L` is handed over transposed and swept with
+`trans="T"`: SuperLU's transposed sweep over an upper factor costs less per
+column than its plain sweep over a lower one.  The two SuperLU objects are
+then the only stored copy of a block factor; `L` and `U` are converted back
+to CSR when they are read.  A block solve is two compiled triangular sweeps
+with no per-call conversion.
 """
 
 from __future__ import annotations
@@ -65,36 +72,48 @@ def ilut(block, droptol: float = 1e-2) -> IluFactor:
     eps = float(np.finfo(np.float64).eps)
     a_ptr, a_idx, a_val = A.indptr.tolist(), A.indices.tolist(), A.data.tolist()
 
-    # finished U rows: diagonal, then the columns after it and their values
+    # finished U rows: diagonal, then (column, value) pairs after it
     u_diag: list[float] = []
-    u_cols: list[list[int]] = []
-    u_vals: list[list[float]] = []
+    u_rows: list[list[tuple[int, float]]] = []
     l_ptr, l_idx, l_val = [0], [], []
     u_ptr, u_idx, u_val = [0], [], []
     pivot_repairs = 0
+    # working row: val[c] holds column c's value while mark[c] == i
+    val = [0.0] * n
+    mark = [-1] * n
 
     for i in range(n):
-        cols = a_idx[a_ptr[i]:a_ptr[i + 1]]
-        w = dict(zip(cols, a_val[a_ptr[i]:a_ptr[i + 1]]))
+        lo, hi = a_ptr[i], a_ptr[i + 1]
+        heap = []    # columns before the diagonal, ascending, so already a heap
+        right = []   # columns after it
+        for c, v in zip(a_idx[lo:hi], a_val[lo:hi]):
+            val[c] = v
+            mark[c] = i
+            if c < i:
+                heap.append(c)
+            elif c > i:
+                right.append(c)
         tau = droptol * row_norms[i]
 
-        heap = [c for c in cols if c < i]   # ascending, so already a heap
         while heap:
             k = heappop(heap)
-            factor = w[k] / u_diag[k]
+            factor = val[k] / u_diag[k]
             if abs(factor) < tau:
                 continue
             l_idx.append(k)
             l_val.append(factor)
-            for c, v in zip(u_cols[k], u_vals[k]):
-                if c in w:
-                    w[c] = w[c] - factor * v
+            for c, v in u_rows[k]:
+                if mark[c] == i:
+                    val[c] = val[c] - factor * v
                 else:   # 0.0 - x, not -x: a zero product gives +0.0 fill
-                    w[c] = 0.0 - factor * v
+                    mark[c] = i
+                    val[c] = 0.0 - factor * v
                     if c < i:
                         heappush(heap, c)
+                    elif c > i:
+                        right.append(c)
         # diagonal pivot; repair if zero or absent
-        diag = w.get(i, 0.0)
+        diag = val[i] if mark[i] == i else 0.0
         if diag == 0.0:
             base = row_norms[i] if row_norms[i] > 0 else 1.0
             repl = droptol * base
@@ -102,21 +121,20 @@ def ilut(block, droptol: float = 1e-2) -> IluFactor:
                 repl = eps * base
             diag = repl  # original pivot was zero/absent: sign taken as +
             pivot_repairs += 1
-        upper = [j for j, v in w.items() if j > i and abs(v) >= tau and v != 0.0]
-        upper.sort()
-        vals = [w[j] for j in upper]
+        right.sort()
+        row = [(j, v) for j in right if abs(v := val[j]) >= tau and v != 0.0]
 
         l_idx.append(i)
         l_val.append(1.0)
         l_ptr.append(len(l_idx))
         u_idx.append(i)
-        u_idx.extend(upper)
         u_val.append(diag)
-        u_val.extend(vals)
+        for j, v in row:
+            u_idx.append(j)
+            u_val.append(v)
         u_ptr.append(len(u_idx))
         u_diag.append(diag)
-        u_cols.append(upper)
-        u_vals.append(vals)
+        u_rows.append(row)
 
     L = sp.csr_matrix((l_val, l_idx, l_ptr), shape=(n, n))
     U = sp.csr_matrix((u_val, u_idx, u_ptr), shape=(n, n))
@@ -128,12 +146,14 @@ class BlockILU:
     """Independent ILUT factors of the diagonal blocks of a block matrix.
 
     The factors are held once, assembled block-diagonally so that one pair
-    of triangular solves applies every per-block solve at once: `lower`
-    holds the unit-lower `L` and `upper` the upper `U`, prepared for solving
-    (both None when `n == 0`).  The read-only `L` and `U` convert them back
-    to CSR on each read; SuperLU does not store the exact zeros ILUT may
-    keep, so those are absent from them.  `nnz` and `pivot_repairs` are
-    ILUT's counts, summed over the blocks.
+    of triangular solves applies every per-block solve at once: `upper`
+    holds `U` and `lower` holds the unit-lower `L` transposed, each as the
+    upper factor of a SuperLU object beside an identity lower one (both
+    None when `n == 0`).  `lower` is solved with `trans="T"`, SuperLU's
+    cheaper sweep.  The read-only `L` and `U` convert them back to CSR on
+    each read; SuperLU does not store the exact zeros ILUT may keep, so
+    those are absent from them.  `nnz` and `pivot_repairs` are ILUT's
+    counts, summed over the blocks.
     """
 
     n: int
@@ -144,24 +164,27 @@ class BlockILU:
 
     @property
     def L(self) -> sp.csr_matrix:
-        return sp.csr_matrix(self.lower.L if self.n else (0, 0))
+        return canonical(self.lower.U.T if self.n else (0, 0))
 
     @property
     def U(self) -> sp.csr_matrix:
         return sp.csr_matrix(self.upper.U if self.n else (0, 0))
 
 
-def _prepare(T: sp.csr_matrix) -> SuperLU:
-    """SuperLU object for a triangular factor with a nonzero diagonal.
+def _prepare(T: sp.csc_matrix) -> SuperLU:
+    """SuperLU object for an upper triangular factor with a nonzero diagonal.
 
     Natural ordering and a zero pivot threshold keep every diagonal pivot,
-    so SuperLU's factors are `T` itself and an identity, and solving with
-    the object is a triangular sweep with `T`.  `relax=1` turns off relaxed
-    supernodes: they amalgamate small subtrees into dense blocks to speed up
-    a factorization, but `T` is already factored, so they would only make
-    every sweep run dense kernels over the zeros they add.
+    so SuperLU's factors are an identity and `T` itself, and solving with
+    the object is a triangular sweep with `T`, or with its transpose under
+    `trans="T"`.  A lower factor is prepared as its transpose and swept
+    that way: SuperLU's transposed sweep over an upper factor costs less per
+    column than its plain sweep over a lower one.  `relax=1` turns off
+    relaxed supernodes: they amalgamate small subtrees into dense blocks to
+    speed up a factorization, but `T` is already factored, so they would
+    only make every sweep run dense kernels over the zeros they add.
     """
-    return splu(T.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0, relax=1)
+    return splu(T, permc_spec="NATURAL", diag_pivot_thresh=0.0, relax=1)
 
 
 def factor_blocks(A, block_sizes, droptol: float = 1e-2) -> BlockILU:
@@ -178,8 +201,10 @@ def factor_blocks(A, block_sizes, droptol: float = 1e-2) -> BlockILU:
     n = A.shape[0]
     lower = upper = None
     if n:
-        lower = _prepare(sp.block_diag([f.L for f in factors], format="csr"))
-        upper = _prepare(sp.block_diag([f.U for f in factors], format="csr"))
+        # both reach SuperLU in CSC with no conversion copy: the transpose
+        # of L's CSR is CSC as it stands, and U is assembled in CSC
+        lower = _prepare(sp.block_diag([f.L for f in factors], format="csr").T)
+        upper = _prepare(sp.block_diag([f.U for f in factors], format="csc"))
     return BlockILU(n=n, nnz=sum(f.nnz for f in factors),
                     pivot_repairs=sum(f.pivot_repairs for f in factors),
                     lower=lower, upper=upper)
@@ -189,11 +214,11 @@ def block_solve(filu: BlockILU, rhs) -> np.ndarray:
     """Solve L U y = rhs, block by block (one assembled triangular pair).
 
     The factors were prepared when `filu` was built, so this is two compiled
-    triangular sweeps, L then U.
+    triangular sweeps: L, as the transposed sweep of `lower`, then U.
     """
     rhs = np.asarray(rhs, dtype=np.float64)
     if rhs.shape[0] != filu.n:
         raise ValueError(f"rhs has length {rhs.shape[0]}, factors are {filu.n}-dimensional")
     if filu.n == 0:
         return rhs.copy()
-    return filu.upper.solve(filu.lower.solve(rhs))
+    return filu.upper.solve(filu.lower.solve(rhs, trans="T"))

@@ -324,6 +324,19 @@ class TestSpectrum:
         assert rows[0] == "re,im"
         return np.array([complex(*map(float, r.split(","))) for r in rows[1:]])
 
+    def test_correction_unused_by_target_is_not_built(self, tmp_path, capsys):
+        # the singular correction of TestSolve::test_singular_correction_is_an_error
+        # does not enter EsC0inv, so --rank cannot make its spectrum fail
+        d = np.full(6, 2.0)
+        d[[0, -1]] = 1.0
+        mtx = tmp_path / "singular.mtx"
+        write_matrix_market(lap1d(6) - sp.diags(2.0 - d), mtx)
+        code = main(["spectrum", "--matrix", str(mtx), "--s", "2", "--m", "0",
+                     "--rank", "10", "--droptol", "0", "--target", "EsC0inv"])
+        assert code == 0
+        eigs = self._eigs(capsys.readouterr().out)
+        assert abs(eigs[0] - 1.0) < 1e-12
+
     def test_stdout_equals_out_file(self, tmp_path, capsys):
         args = ["spectrum", "--problem", "lap3d:5,5,5,0.0", "--s", "4", "--target", "Err"]
         out = tmp_path / "spec.csv"
@@ -360,7 +373,8 @@ class TestSpectrum:
                      "--rank", "8", "--droptol", "0", "--target", target]) == 0
         eigs = self._eigs(capsys.readouterr().out)
         [P] = built
-        assert P.correction.rank == 8
+        # only precS applies the correction, so only its build makes one
+        assert P.correction.rank == (8 if target == "precS" else 0)
         oracle = dense_schur(P.system)
         M = {"EsC0inv": lambda: oracle.Es @ oracle.C0inv,
              "Err": lambda: oracle.err_matrix(m),

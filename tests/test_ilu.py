@@ -290,19 +290,22 @@ class TestPreparedSolve:
 
     @pytest.mark.parametrize("blocks,droptol", _BLOCK_CASES)
     def test_prepared_factors_are_the_ilu_factors(self, blocks, droptol):
-        # no reordering and no re-pivoting: SuperLU keeps L and U as given,
-        # so the factors read back from it are the standalone ILUT factors
+        # no reordering and no re-pivoting: SuperLU keeps its input as given,
+        # so `upper` holds U as its U and `lower` holds L transposed as its U,
+        # both beside an identity, and the factors read back from them are
+        # the standalone ILUT factors
         bf = _factor_case(blocks, droptol)
         ident = np.arange(bf.n)
         eye = sp.identity(bf.n, format="csc")
         for solver in (bf.lower, bf.upper):
             np.testing.assert_array_equal(solver.perm_r, ident)
             np.testing.assert_array_equal(solver.perm_c, ident)
-        assert abs(bf.lower.U - eye).max() == 0.0
-        assert abs(bf.upper.L - eye).max() == 0.0
+            assert abs(solver.L - eye).max() == 0.0
         factors = [ilut(blk, droptol) for blk in blocks]
-        for M, R in ((bf.L, sp.block_diag([f.L for f in factors], format="csr")),
-                     (bf.U, sp.block_diag([f.U for f in factors], format="csr"))):
+        L = sp.block_diag([f.L for f in factors], format="csr")
+        U = sp.block_diag([f.U for f in factors], format="csr")
+        _assert_same_csr(canonical(bf.lower.U.T), L)
+        for M, R in ((bf.L, L), (bf.U, U)):
             _assert_same_csr(M, R)
 
     def test_factors_stored_once(self):
@@ -380,6 +383,26 @@ class TestAgainstReference:
             f = ilut(A, droptol)
             assert f.pivot_repairs >= 2   # rows 0 and 3 at least
             _assert_same_factors(f, _reference_ilut(A, droptol))
+
+    @pytest.mark.parametrize("droptol", [0.0, 1e-2])
+    def test_previous_row_leaves_no_value(self, droptol):
+        # row 2 writes columns 2 and 4; row 3 stores neither but reaches
+        # both through the fill of U row 0, column 2 left of its diagonal
+        # and column 4 right of it; row 4 reaches row 3's fill the same way
+        # through U row 1.  Row 5 is empty, so its pivot is repaired although
+        # row 4 wrote column 5.  A value or mark left over from the previous
+        # row would turn that fill into an update of a stale entry, or that
+        # entry into the pivot
+        rows = [0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 4, 4, 4]
+        cols = [0, 2, 4, 1, 2, 4, 0, 2, 4, 0, 3, 1, 4, 5]
+        vals = [4.0, 1.0, 1.0, 4.0, 2.0, 2.0, 1.0, 4.0, 1.0, 1.0, 4.0, 1.0, 4.0, 1.0]
+        A = sp.csr_matrix((vals, (rows, cols)), shape=(6, 6))
+        f = ilut(A, droptol)
+        assert f.pivot_repairs == 1
+        assert f.L[3, 2] != 0.0 and f.U[3, 4] != 0.0 and f.L[4, 2] != 0.0
+        _assert_same_factors(f, _reference_ilut(A, droptol))
+        if droptol == 0.0:
+            np.testing.assert_allclose((f.L @ f.U)[:5].toarray(), A[:5].toarray(), atol=1e-15)
 
     def test_zero_factor_fill_keeps_its_sign(self):
         # at droptol 0 the explicit zero A[2, 0] gives a kept factor of 0.0;

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import pslr.schur as schur
 from pslr.diagnostics import dense_schur
 from pslr.krylov import gmres
 from pslr.preconditioner import PslrConfig, build
@@ -101,6 +102,40 @@ class TestApply:
         P = build(lap1d(10), PslrConfig(num_subdomains=2, rank=2))
         with pytest.raises(ValueError):
             P.apply(np.ones(11))
+
+
+def _count_block_solves(monkeypatch, ctx):
+    """Count the B and C0 block solves made through `pslr.schur`, told apart
+    by which of the context's factors each one uses."""
+    counts = {"B": 0, "C0": 0}
+
+    def counted(filu, rhs, _solve=schur.block_solve):
+        counts["B" if filu is ctx.b_ilu else "C0" if filu is ctx.c0_ilu else "other"] += 1
+        return _solve(filu, rhs)
+    monkeypatch.setattr(schur, "block_solve", counted)
+    return counts
+
+
+class TestSolveCounts:
+    @pytest.mark.parametrize("m", [0, 1, 3])
+    def test_per_apply(self, m, monkeypatch):
+        A = laplacian3d(ProblemSpec(6, 6, 6, shift=0.1))
+        P = build(A, PslrConfig(num_subdomains=4, series_degree=m, rank=4))
+        assert P.system.q > 0 and P.correction.rank > 0
+        b = np.random.default_rng(3).standard_normal(A.shape[0])
+        want = P.apply(b)
+        counts = _count_block_solves(monkeypatch, P.ctx)
+        for _ in range(3):
+            np.testing.assert_array_equal(P.apply(b), want)
+        assert counts == {"B": 3 * (2 + m), "C0": 3 * (m + 1)}
+
+    def test_no_interface(self, monkeypatch):
+        A = laplacian3d(ProblemSpec(4, 4, 4))
+        P = build(A, PslrConfig(num_subdomains=1, series_degree=2, rank=3))
+        assert P.system.q == 0
+        counts = _count_block_solves(monkeypatch, P.ctx)
+        P.apply(np.ones(A.shape[0]))
+        assert counts == {"B": 1, "C0": 0}
 
 
 class TestFillStats:
