@@ -10,29 +10,22 @@ n = 2000 Laplacian where the dense inverse is still affordable.
 Run:  python demos/03_error_bound.py
 """
 
-import numpy as np
-
-from pslr import ProblemSpec, delta_bound, dense_schur, laplacian3d, verify_bound
-from pslr.lowrank import arnoldi, build_correction
-from pslr.partition import classify_and_reorder, partition_graph
-from pslr.schur import apply_Err, build_schur_context
+from pslr import PslrConfig, ProblemSpec, build, dense_schur, laplacian3d, verify_bound
 
 
 def main():
     A = laplacian3d(ProblemSpec(1, 8, 250))
-    system = classify_and_reorder(A, partition_graph(A, 5))
-    ctx = build_schur_context(system, droptol=0.0)
+    P = build(A, PslrConfig(num_subdomains=5, series_degree=1, rank=5, droptol=0.0))
+    system = P.system
     oracle = dense_schur(system)
     print(f"n={system.n}, q={system.q}\n")
     print(f"{'m':>3} {'rank':>5} {'Delta':>10} {'true error':>12} {'identity':>10}")
     for m in (1, 3, 5):
         for rank in (5, 15):
-            V, H, r = arnoldi(lambda v: apply_Err(ctx, m, v), system.q,
-                              rank, seed=0)
-            corr = build_correction(V, H)
-            out = verify_bound(oracle, m, V, H, corr.G)
+            corr = P.recorrected(m, rank).correction
+            out = verify_bound(oracle, m, corr.V, corr.H, corr.G)
             assert out["bound_holds"] and out["identity_holds"]
-            print(f"{m:>3} {r:>5} {out['bound']:>10.4f} "
+            print(f"{m:>3} {corr.rank:>5} {out['bound']:>10.4f} "
                   f"{out['relative_error']:>12.6f} "
                   f"{out['identity_residual']:>10.2e}")
     print("\nDelta always dominates the true relative error, and both fall")

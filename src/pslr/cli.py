@@ -7,8 +7,8 @@ right-hand side is A x with a seeded random x, and the solve starts from zero.
 
 Exit codes: 0 converged, 1 input/usage error (a bad flag or ``PSLR_`` value
 included) or a build or solve that cannot proceed (CG on a matrix that is not
-SPD, a singular correction core, GMRES stopped by non-finite values), 2 solver
-failed to converge.
+SPD, a singular correction core, GMRES stopped by non-finite values, memory
+exhausted), 2 solver failed to converge.
 """
 
 from __future__ import annotations
@@ -44,15 +44,15 @@ class RunManifest:
 
     matrix: str | None = None
     problem: str | None = None
-    s: int = 8
-    m: int = 3
-    rank: int = 15
-    droptol: float = 1e-2
+    s: int = PslrConfig.num_subdomains
+    m: int = PslrConfig.series_degree
+    rank: int = PslrConfig.rank
+    droptol: float = PslrConfig.droptol
     krylov: str = "gmres"
     tol: float = 1e-8
     maxit: int = 500
     restart: int = 0
-    seed: int = 0
+    seed: int = PslrConfig.seed
     threads: int = 0
     out: str | None = None
     partition_out: str | None = None
@@ -180,8 +180,10 @@ def cmd_solve(manifest: RunManifest) -> int:
     return 0 if report.converged else 2
 
 
-SWEEP_COLUMNS = ["axis", "value", "its", "converged", "fill_ilu", "fill_lowrank",
-                 "fill_total", "final_relres", "p_t", "i_t", "t_t"]
+# the `_stats_payload` fields of a sweep row, after its axis and value, with their formats
+SWEEP_COLUMNS = {"its": "{}", "converged": "{}", "fill_ilu": "{:.6f}", "fill_lowrank": "{:.6f}",
+                 "fill_total": "{:.6f}", "final_relres": "{:.6e}", "p_t": "{:.6f}",
+                 "i_t": "{:.6f}", "t_t": "{:.6f}"}
 
 
 def cmd_sweep(manifest: RunManifest) -> int:
@@ -204,18 +206,13 @@ def cmd_sweep(manifest: RunManifest) -> int:
         base = preconditioner.build(A, _config(manifest, rank=max(values)))
         derive = lambda rank: base.recorrected(manifest.m, rank)
 
-    lines = [",".join(SWEEP_COLUMNS)]
+    lines = [",".join(["axis", "value", *SWEEP_COLUMNS])]
     for value in values:
         P = derive(value)
         _, report = _solve_with(A, P, manifest)
-        st = P.stats
-        lines.append(",".join(str(x) for x in [
-            axis, value, report.iterations, report.converged,
-            f"{st.fill_ilu:.6f}", f"{st.fill_lowrank:.6f}", f"{st.fill_total:.6f}",
-            f"{report.final_relres:.6e}",
-            f"{st.build_time_s:.6f}", f"{report.time_s:.6f}",
-            f"{st.build_time_s + report.time_s:.6f}",
-        ]))
+        row = _stats_payload(P, report, manifest)
+        lines.append(",".join([axis, str(value)] + [fmt.format(row[key])
+                                                    for key, fmt in SWEEP_COLUMNS.items()]))
     _emit("\n".join(lines) + "\n", manifest.out)
     return 0
 
@@ -291,9 +288,9 @@ def main(argv=None) -> int:
     handler = {"solve": cmd_solve, "sweep": cmd_sweep, "spectrum": cmd_spectrum}[args.command]
     try:
         return handler(manifest)
-    except (OSError, ValueError, ArithmeticError, np.linalg.LinAlgError, NotSpdError,
-            CorrectionSingularError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, MemoryError, ValueError, ArithmeticError, np.linalg.LinAlgError,
+            NotSpdError, CorrectionSingularError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

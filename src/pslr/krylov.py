@@ -46,17 +46,16 @@ def gmres(apply_A, apply_M, b, tol: float = 1e-8, maxit: int = 500, restart: int
     if bnorm == 0.0:
         return np.zeros(n), SolveReport(True, 0, 0.0, [1.0], time.perf_counter() - t0)
 
+    # the residual of x = 0 is b; each cycle leaves the residual of its x
     x = np.zeros(n)
+    r, beta = b, bnorm
     history = [1.0]
     total = 0
     converged = False
     relres = 1.0
 
     while total < maxit and not converged:
-        r = b - apply_A(x)
-        beta = np.linalg.norm(r)
-        relres = beta / bnorm
-        if relres <= tol:
+        if relres <= tol:   # only before the first cycle: later ones test at their end
             converged = True
             break
         cycle = maxit - total if restart <= 0 else min(restart, maxit - total)
@@ -114,7 +113,9 @@ def gmres(apply_A, apply_M, b, tol: float = 1e-8, maxit: int = 500, restart: int
             for i in range(j - 1, -1, -1):
                 y[i] = (g[i] - Hcol[i, i + 1:j] @ y[i + 1:j]) / Hcol[i, i]
             x = x + apply_M(V[:, :j] @ y)
-        relres = np.linalg.norm(b - apply_A(x)) / bnorm
+        r = b - apply_A(x)
+        beta = np.linalg.norm(r)
+        relres = beta / bnorm
         history[-1] = relres  # true residual at the cycle boundary
         if relres <= tol:
             converged = True

@@ -131,30 +131,27 @@ def classify_and_reorder(A, spec: PartitionSpec) -> PartitionedSystem:
     n = A.shape[0]
     if spec.assignment.shape[0] != n:
         raise ValueError("partition does not cover the matrix")
-    adj = _adjacency(A)
     part = spec.assignment
     s = spec.num_parts
 
-    # interface <=> some symmetrized off-diagonal neighbor in another subdomain
-    degrees = np.diff(adj.indptr)
-    row_of_entry = np.repeat(np.arange(n), degrees)
-    cross = part[adj.indices] != part[row_of_entry]
+    # interface <=> an endpoint of a stored entry that couples two subdomains;
+    # marking both endpoints gives the same set as the symmetrized pattern
+    rows = np.repeat(np.arange(n), np.diff(A.indptr))
+    cross = part[rows] != part[A.indices]
     is_interface = np.zeros(n, dtype=bool)
-    is_interface[row_of_entry[cross]] = True
+    is_interface[rows[cross]] = True
+    is_interface[A.indices[cross]] = True
 
-    idx = np.arange(n)
-    interior_groups = [idx[(part == i) & ~is_interface] for i in range(s)]
-    interface_groups = [idx[(part == i) & is_interface] for i in range(s)]
-    new_order = np.concatenate(interior_groups + interface_groups)
+    # interiors by subdomain, then interfaces by subdomain, index order within each
+    new_order = np.lexsort((part, is_interface))
     forward = np.empty(n, dtype=np.int64)
     forward[new_order] = np.arange(n, dtype=np.int64)
     perm = Permutation.from_forward(forward)
 
     reordered = permute_symmetric(A, perm)
-    interior_sizes = np.array([g.size for g in interior_groups], dtype=np.int64)
-    interface_sizes = np.array([g.size for g in interface_groups], dtype=np.int64)
+    interior_sizes = np.bincount(part[~is_interface], minlength=s)
+    interface_sizes = np.bincount(part[is_interface], minlength=s)
     p = int(interior_sizes.sum())
-    q = n - p
     lo = np.arange(p)
     hi = np.arange(p, n)
     return PartitionedSystem(
@@ -162,13 +159,13 @@ def classify_and_reorder(A, spec: PartitionSpec) -> PartitionedSystem:
         perm=perm,
         num_parts=s,
         p=p,
-        q=q,
+        q=n - p,
         interior_sizes=interior_sizes,
         interface_sizes=interface_sizes,
-        B=extract_submatrix(reordered, lo, lo) if p else sp.csr_matrix((0, 0)),
-        E=extract_submatrix(reordered, lo, hi) if p and q else sp.csr_matrix((p, q)),
-        F=extract_submatrix(reordered, hi, lo) if p and q else sp.csr_matrix((q, p)),
-        C=extract_submatrix(reordered, hi, hi) if q else sp.csr_matrix((0, 0)),
+        B=extract_submatrix(reordered, lo, lo),
+        E=extract_submatrix(reordered, lo, hi),
+        F=extract_submatrix(reordered, hi, lo),
+        C=extract_submatrix(reordered, hi, hi),
         partition=spec,
     )
 

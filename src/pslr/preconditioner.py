@@ -17,9 +17,8 @@ S_app^{-1} = [series] (I + V G V^T).
 
 from __future__ import annotations
 
-import json
 import time
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -52,37 +51,47 @@ class PslrConfig:
 class FillStats:
     """Memory accounting: fill factors are nnz(component) / nnz(A)."""
 
-    nnz_ilu: int = 0
-    nnz_lowrank: int = 0
-    nnz_matrix: int = 0
-    fill_ilu: float = 0.0
-    fill_lowrank: float = 0.0
-    fill_total: float = 0.0
-    pivot_repairs: int = 0
-    order_time_s: float = 0.0
-    build_time_s: float = 0.0
+    nnz_ilu: int
+    nnz_lowrank: int
+    nnz_matrix: int
+    pivot_repairs: int
+    order_time_s: float
+    build_time_s: float
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self))
+    @property
+    def fill_ilu(self) -> float:
+        return self.nnz_ilu / self.nnz_matrix
+
+    @property
+    def fill_lowrank(self) -> float:
+        return self.nnz_lowrank / self.nnz_matrix
+
+    @property
+    def fill_total(self) -> float:
+        return (self.nnz_ilu + self.nnz_lowrank) / self.nnz_matrix
 
 
 class PslrPreconditioner:
     """Everything the application algorithm needs, immutable once built.
 
-    `config` holds the settings `build` or `recorrected` made it from, and is
-    None for a preconditioner assembled by hand.
+    `config` holds the settings `build` or `recorrected` made it from.
     """
 
-    def __init__(self, system: PartitionedSystem, ctx: SchurContext,
-                 series_degree: int, correction: LowRankCorrection, stats: FillStats,
-                 config: PslrConfig | None = None, stage_s: tuple = (0.0, 0.0)):
-        self.system = system
+    def __init__(self, ctx: SchurContext, config: PslrConfig, correction: LowRankCorrection,
+                 stats: FillStats, stage_s: tuple):
         self.ctx = ctx
-        self.series_degree = series_degree
+        self.config = config
         self.correction = correction
         self.stats = stats
-        self.config = config
         self._stage_s = stage_s   # (ILU, Arnoldi) seconds, counted again by derived ones
+
+    @property
+    def system(self) -> PartitionedSystem:
+        return self.ctx.system
+
+    @property
+    def series_degree(self) -> int:
+        return self.config.series_degree
 
     def recorrected(self, series_degree: int, rank: int) -> "PslrPreconditioner":
         """What `build` gives with a new series degree and rank, derived from
@@ -94,8 +103,6 @@ class PslrPreconditioner:
         dimension), because a rerun would stop at the same step. Anything
         else runs Arnoldi afresh.
         """
-        if self.config is None:
-            raise ValueError("only a preconditioner made by build() can be recorrected")
         old, base = self.correction, self.config
         cfg = replace(base, series_degree=series_degree, rank=rank)
         cfg.validate()
@@ -108,8 +115,7 @@ class PslrPreconditioner:
             V, H, _ = arnoldi(lambda v: apply_Err(self.ctx, series_degree, v),
                               self.system.q, rank, seed=cfg.seed)
             arnoldi_s = time.perf_counter() - t0
-        return _assemble(self.system, self.ctx, cfg, V, H,
-                         self.stats.order_time_s, factor_s, arnoldi_s)
+        return _assemble(self.ctx, cfg, V, H, self.stats.order_time_s, factor_s, arnoldi_s)
 
     def apply(self, b) -> np.ndarray:
         """z = PSLR(b) in reordered space."""
@@ -134,24 +140,6 @@ class PslrPreconditioner:
         return z[perm.forward]
 
 
-def _fill_stats(A, ctx: SchurContext, correction: LowRankCorrection,
-                order_time: float, build_time: float) -> FillStats:
-    nnz_ilu = ctx.b_ilu.nnz + ctx.c0_ilu.nnz
-    nnz_lrc = correction.nnz
-    nnz_a = A.nnz
-    return FillStats(
-        nnz_ilu=nnz_ilu,
-        nnz_lowrank=nnz_lrc,
-        nnz_matrix=nnz_a,
-        fill_ilu=nnz_ilu / nnz_a,
-        fill_lowrank=nnz_lrc / nnz_a,
-        fill_total=(nnz_ilu + nnz_lrc) / nnz_a,
-        pivot_repairs=ctx.b_ilu.pivot_repairs + ctx.c0_ilu.pivot_repairs,
-        order_time_s=order_time,
-        build_time_s=build_time,
-    )
-
-
 def build(A, cfg: PslrConfig) -> PslrPreconditioner:
     """Construct the preconditioner for a square sparse matrix of finite values."""
     cfg.validate()
@@ -173,15 +161,20 @@ def build(A, cfg: PslrConfig) -> PslrPreconditioner:
     V, H, _ = arnoldi(lambda v: apply_Err(ctx, cfg.series_degree, v),
                       system.q, cfg.rank, seed=cfg.seed)
     t3 = time.perf_counter()
-    return _assemble(system, ctx, cfg, V, H, t1 - t0, t2 - t1, t3 - t2)
+    return _assemble(ctx, cfg, V, H, t1 - t0, t2 - t1, t3 - t2)
 
 
-def _assemble(system, ctx, cfg, V, H, order_s, factor_s, arnoldi_s) -> PslrPreconditioner:
+def _assemble(ctx, cfg, V, H, order_s, factor_s, arnoldi_s) -> PslrPreconditioner:
     """Correction core from an Arnoldi basis, then the fill and time accounting."""
     t0 = time.perf_counter()
     correction = build_correction(V, H)
     build_s = factor_s + arnoldi_s + time.perf_counter() - t0
-    # the reordered matrix has exactly the entries of canonical(A)
-    stats = _fill_stats(system.matrix, ctx, correction, order_s, build_s)
-    return PslrPreconditioner(system, ctx, cfg.series_degree, correction, stats,
-                              config=cfg, stage_s=(factor_s, arnoldi_s))
+    stats = FillStats(
+        nnz_ilu=ctx.b_ilu.nnz + ctx.c0_ilu.nnz,
+        nnz_lowrank=correction.nnz,
+        nnz_matrix=ctx.system.matrix.nnz,   # the entries of canonical(A), reordered
+        pivot_repairs=ctx.b_ilu.pivot_repairs + ctx.c0_ilu.pivot_repairs,
+        order_time_s=order_s,
+        build_time_s=build_s,
+    )
+    return PslrPreconditioner(ctx, cfg, correction, stats, stage_s=(factor_s, arnoldi_s))

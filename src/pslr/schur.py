@@ -38,23 +38,25 @@ class SchurContext:
         return self.system.q
 
 
-def _block_diag_part(C, sizes) -> sp.csr_matrix:
-    """The block-diagonal part of C for the given diagonal block sizes."""
+def _split_blocks(C, sizes) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """(C0, Cg): the entries of C inside and outside the diagonal blocks of the
+    given sizes.  Cg keeps no stored zeros, as C - C0 would not."""
     C = canonical(C)
     n = C.shape[0]
     block_of = np.repeat(np.arange(len(sizes)), sizes)
     rows = np.repeat(np.arange(n), np.diff(C.indptr))
     keep = block_of[rows] == block_of[C.indices]
-    out = sp.csr_matrix((C.data[keep], (rows[keep], C.indices[keep])), shape=C.shape)
-    return canonical(out)
+    C0, Cg = (canonical(sp.csr_matrix((C.data[k], (rows[k], C.indices[k])), shape=C.shape))
+              for k in (keep, ~keep))
+    Cg.eliminate_zeros()
+    return C0, Cg
 
 
 def build_schur_context(ps: PartitionedSystem, droptol: float = 1e-2) -> SchurContext:
     """Factor the B_i and C_i diagonal blocks and assemble the context."""
     b_ilu = factor_blocks(ps.B, ps.interior_sizes, droptol=droptol)
-    C0 = _block_diag_part(ps.C, ps.interface_sizes)
+    C0, Cg = _split_blocks(ps.C, ps.interface_sizes)
     c0_ilu = factor_blocks(C0, ps.interface_sizes, droptol=droptol)
-    Cg = canonical(ps.C - C0)
     return SchurContext(system=ps, b_ilu=b_ilu, c0_ilu=c0_ilu, C0=C0, Cg=Cg)
 
 

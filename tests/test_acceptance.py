@@ -135,14 +135,13 @@ def test_criterion_05_delta_values_n2000(lap2000):
 
 def test_criterion_06_iteration_counts_n2000(lap2000):
     """GMRES tol 1e-8 on the same instance: <= 34 iters at m=3, <= 16 at m=5."""
-    A, ps, ctx, _ = lap2000
+    A = lap2000[0]
     its = {}
     b = matvec(A, np.random.default_rng(0).standard_normal(A.shape[0]))
+    # the fixture's partition and exact factors, and its Arnoldi bases
+    base = build(A, PslrConfig(num_subdomains=5, series_degree=3, rank=15, droptol=0.0))
     for m in (3, 5):
-        corr = build_correction(
-            *arnoldi(lambda v: apply_Err(ctx, m, v), ps.q, 15, seed=0)[:2])
-        from pslr.preconditioner import PslrPreconditioner, _fill_stats
-        P = PslrPreconditioner(ps, ctx, m, corr, _fill_stats(A, ctx, corr, 0, 0))
+        P = base.recorrected(m, 15)
         _, rep = gmres(lambda v: matvec(A, v), P.apply_original, b, tol=1e-8)
         assert rep.converged
         its[m] = rep.iterations

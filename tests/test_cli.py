@@ -81,6 +81,28 @@ class TestSolve:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "1 non-finite entries" in err
 
+    def test_malformed_matrix_file(self, tmp_path, capsys):
+        mtx = tmp_path / "short.mtx"
+        mtx.write_text("%%MatrixMarket matrix coordinate real general\n3 3 3\n1 1 1.0\n")
+        assert main(["solve", "--matrix", str(mtx)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: line 3: declared 3 entries but found 1\n"
+
+    @pytest.mark.parametrize("exc, message", [
+        (MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000000001,)"),
+         "Unable to allocate 7.28 TiB"),
+        (MemoryError(), "MemoryError"),
+    ], ids=["message", "bare"])
+    def test_out_of_memory_is_an_error(self, monkeypatch, capsys, exc, message):
+        # what a size line of 10^12 rows raises, without allocating anything
+        def exhausted(path):
+            raise exc
+        monkeypatch.setattr(pslr.cli, "read_matrix_market", exhausted)
+        assert main(["solve", "--matrix", "huge.mtx"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert message in err
+
     def test_cg_on_indefinite_is_an_error(self, capsys):
         code = main(["solve", "--problem", "lap3d:8,8,8,0.5", "--s", "4", "--krylov", "cg"])
         assert code == 1

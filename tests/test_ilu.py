@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from pslr.ilu import IluFactor, block_solve, factor_blocks, ilut
 from pslr.problems import parse_problem
-from pslr.schur import _block_diag_part
+from pslr.schur import _split_blocks
 from pslr.sparse import canonical
 
 from conftest import lap1d, partitioned, random_sparse, sparse_matrices
@@ -341,7 +341,7 @@ class TestPreparedSolve:
 def _diagonal_blocks(problem, s):
     """Every B_i and C0_i diagonal block of a partitioned problem."""
     ps = partitioned(parse_problem(problem)[1], s)
-    C0 = _block_diag_part(ps.C, ps.interface_sizes)
+    C0 = _split_blocks(ps.C, ps.interface_sizes)[0]
     for M, sizes in ((ps.B, ps.interior_sizes), (C0, ps.interface_sizes)):
         offsets = np.concatenate([[0], np.cumsum(sizes)])
         for lo, hi in zip(offsets[:-1], offsets[1:]):

@@ -123,6 +123,22 @@ class TestGmres:
         assert rep_r.iterations >= rep_full.iterations
         assert np.linalg.norm(b - A @ x_r) / np.linalg.norm(b) <= 1e-8
 
+    @pytest.mark.parametrize("restart", [0, 5])
+    def test_one_product_per_step_and_cycle(self, restart):
+        # one A-product per Arnoldi step plus one true residual per cycle: the
+        # zero start's residual is b, and a cycle's last one starts the next
+        A = _dense_spd(40, 8)
+        calls = 0
+
+        def apply_A(v):
+            nonlocal calls
+            calls += 1
+            return A @ v
+        _, rep = gmres(apply_A, None, np.ones(40), restart=restart)
+        cycles = 1 if restart == 0 else -(-rep.iterations // restart)
+        assert rep.converged and cycles > (restart > 0)
+        assert calls == rep.iterations + cycles
+
     def test_zero_rhs(self):
         x, rep = gmres(lambda v: v, None, np.zeros(4))
         assert rep.converged and rep.iterations == 0

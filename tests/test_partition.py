@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from pslr.krylov import gmres
 from pslr.partition import (
     _adjacency,
     _bfs_order,
@@ -9,6 +10,7 @@ from pslr.partition import (
     partition_graph,
     save_assignment_json,
 )
+from pslr.preconditioner import PslrConfig, build
 from pslr.problems import ProblemSpec, laplacian3d
 from pslr.sparse import permute_symmetric
 
@@ -113,10 +115,15 @@ class TestClassifyAndReorder:
         block_of = np.repeat(np.arange(ps.num_parts), ps.interior_sizes)
         assert np.all(block_of[B.row] == block_of[B.col])
 
-    def test_interface_definition(self, lap3d_small_system):
-        A, ps = lap3d_small_system
-        # every interior vertex has all neighbors inside its own subdomain
-        spec = partition_graph(A, ps.num_parts)
+    @pytest.mark.parametrize("one_way", [False, True], ids=["symmetric", "lower-triangle"])
+    def test_interface_definition(self, lap3d_small_system, one_way):
+        # an interface vertex has a stored coupling, in either direction, with
+        # another subdomain; the lower triangle stores each coupling once
+        A = lap3d_small_system[0]
+        if one_way:
+            A = sp.tril(A, format="csr")
+        spec = partition_graph(A, 4)
+        ps = classify_and_reorder(A, spec)
         part = spec.assignment
         coo = A.tocoo()
         off = coo.row != coo.col
@@ -132,6 +139,17 @@ class TestClassifyAndReorder:
         ps = partitioned(A, 1)
         assert ps.q == 0 and ps.p == 10
         assert ps.C.shape == (0, 0)
+
+    def test_all_interface(self):
+        # a path cut into single vertices: every vertex couples to another subdomain
+        A = lap1d(8)
+        ps = partitioned(A, 8)
+        assert ps.p == 0 and ps.q == 8
+        assert (ps.B.shape, ps.E.shape, ps.F.shape) == ((0, 0), (0, 8), (8, 0))
+        P = build(A, PslrConfig(num_subdomains=8, series_degree=2, rank=3))
+        b = A @ np.random.default_rng(0).standard_normal(8)
+        _, rep = gmres(lambda v: A @ v, P.apply_original, b)
+        assert rep.converged
 
     def test_sizes_consistent(self, lap3d_small_system):
         _, ps = lap3d_small_system

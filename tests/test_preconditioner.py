@@ -164,12 +164,6 @@ class TestFillStats:
         assert P.stats.fill_lowrank == 0.0
         assert P.stats.fill_total == P.stats.fill_ilu
 
-    def test_json_roundtrip(self):
-        import json
-        P = build(lap1d(20), PslrConfig(num_subdomains=2, rank=2))
-        payload = json.loads(P.stats.to_json())
-        assert payload["fill_total"] == P.stats.fill_total
-
 
 class TestDeterminism:
     def test_same_config_identical_build(self):
@@ -235,10 +229,3 @@ class TestRecorrected:
     def test_invalid_settings_rejected(self):
         with pytest.raises(ValueError):
             build(self.A, self.CFG).recorrected(-1, 3)
-
-    def test_hand_assembled_rejected(self):
-        from pslr.preconditioner import PslrPreconditioner
-        P = build(self.A, self.CFG)
-        bare = PslrPreconditioner(P.system, P.ctx, 2, P.correction, P.stats)
-        with pytest.raises(ValueError):
-            bare.recorrected(2, 3)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from pslr.diagnostics import dense_schur
 from pslr.schur import (
+    _split_blocks,
     apply_Err,
     apply_Es,
     apply_S,
@@ -11,6 +13,7 @@ from pslr.schur import (
     solve_B,
     solve_C0,
 )
+from pslr.sparse import canonical
 
 from conftest import lap1d, partitioned, random_sparse
 
@@ -93,6 +96,17 @@ class TestContextStructure:
         mask = block_of[:, None] == block_of[None, :]
         np.testing.assert_array_equal(ctx.C0.toarray(), np.where(mask, C, 0.0))
         np.testing.assert_array_equal((ctx.C0 + ctx.Cg).toarray(), C)
+
+    def test_split_keeps_no_stored_zero_off_the_blocks(self):
+        # stored zeros at (0, 2) and (2, 0) lie off the two 2x2 blocks; C - C0
+        # drops them, and so must Cg
+        C = sp.csr_matrix(([1.0, 0.0, 2.0, 0.0, 3.0, 4.0],
+                           ([0, 0, 1, 2, 2, 3], [1, 2, 3, 0, 2, 3])), shape=(4, 4))
+        C0, Cg = _split_blocks(C, [2, 2])
+        want = canonical(C - C0)
+        for name in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(Cg, name), getattr(want, name))
+        assert Cg.nnz == 1 and C0.nnz == 3
 
     def test_vector_length_checked(self, lap3d_small_system):
         _, ps = lap3d_small_system

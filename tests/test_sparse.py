@@ -123,6 +123,24 @@ class TestExtractSubmatrix:
             extract_submatrix(A, [0, 5], [0])
 
 
+HEADER = "%%MatrixMarket matrix coordinate real general\n"
+
+# (message, 1-based line, file text): each rejection of read_matrix_market
+REJECTIONS = [
+    ("empty file", 1, ""),
+    ("unsupported object/format", 1, "%%MatrixMarket vector array real general\n"),
+    ("unsupported symmetry", 1, "%%MatrixMarket matrix coordinate real skew-symmetric\n1 1 0\n"),
+    ("size line must be", 4, HEADER + "% comment\n\n2 2\n"),
+    ("non-integer size", 2, HEADER + "2 2 x\n"),
+    ("negative dimension", 2, HEADER + "2 -2 1\n"),
+    ("entry must be", 3, HEADER + "2 2 1\n1 1\n"),
+    ("cannot parse entry", 3, HEADER + "2 2 1\n1 1 one\n"),
+    ("more than the declared 1", 4, HEADER + "2 2 1\n1 1 1.0\n2 2 1.0\n"),
+    ("missing size line", 2, HEADER + "% no size line\n"),
+    ("declared 3 entries but found 1", 5, HEADER + "2 2 3\n1 1 1.0\n\n% trailing comment\n"),
+]
+
+
 class TestMatrixMarket:
     def test_identity_roundtrip(self, tmp_path):
         path = tmp_path / "eye.mtx"
@@ -168,6 +186,14 @@ class TestMatrixMarket:
             read_matrix_market(path)
         assert exc.value.line == 4
         assert "3 non-finite entries" in str(exc.value)
+
+    @pytest.mark.parametrize("message, line, text", REJECTIONS, ids=[r[0] for r in REJECTIONS])
+    def test_rejection_line(self, tmp_path, message, line, text):
+        path = tmp_path / "bad.mtx"
+        path.write_text(text)
+        with pytest.raises(MatrixMarketError, match=message) as exc:
+            read_matrix_market(path)
+        assert exc.value.line == line
 
     def test_duplicates_summed(self, tmp_path):
         path = tmp_path / "dup.mtx"
