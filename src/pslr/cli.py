@@ -7,8 +7,8 @@ right-hand side is A x with a seeded random x, and the solve starts from zero.
 
 Exit codes: 0 converged, 1 input/usage error (a bad flag or ``PSLR_`` value
 included) or a build or solve that cannot proceed (CG on a matrix that is not
-SPD, a singular correction core, GMRES stopped by non-finite values, memory
-exhausted), 2 solver failed to converge.
+SPD, a singular correction core, a Krylov solve stopped by non-finite values,
+memory exhausted), 2 solver failed to converge.
 """
 
 from __future__ import annotations

@@ -25,6 +25,17 @@ column than its plain sweep over a lower one.  The two SuperLU objects are
 then the only stored copy of a block factor; `L` and `U` are converted back
 to CSR when they are read.  A block solve is two compiled triangular sweeps
 with no per-call conversion.
+
+A row whose L and U rows and columns hold only the diagonal is a bare
+pivot: it takes no part in either sweep, and its solution is the
+right-hand side divided by U's diagonal.  SuperLU visits every row it
+covers about four times per solve, whatever the row holds, while leaving
+rows out costs one gather and one scatter of the rows that remain.  So
+when at least half of the rows are bare, the SuperLU objects cover only
+the other, coupled rows, and a solve divides the whole right-hand side by
+the diagonal and overwrites the coupled rows with the two sweeps.  Most interface vertices couple only
+across subdomains, outside C0, so C0's factors are mostly bare; B's are
+not, and keep objects over every row.
 """
 
 from __future__ import annotations
@@ -148,12 +159,21 @@ class BlockILU:
     The factors are held once, assembled block-diagonally so that one pair
     of triangular solves applies every per-block solve at once: `upper`
     holds `U` and `lower` holds the unit-lower `L` transposed, each as the
-    upper factor of a SuperLU object beside an identity lower one (both
-    None when `n == 0`).  `lower` is solved with `trans="T"`, SuperLU's
-    cheaper sweep.  The read-only `L` and `U` convert them back to CSR on
-    each read; SuperLU does not store the exact zeros ILUT may keep, so
-    those are absent from them.  `nnz` and `pivot_repairs` are ILUT's
-    counts, summed over the blocks.
+    upper factor of a SuperLU object beside an identity lower one.  `lower`
+    is solved with `trans="T"`, SuperLU's cheaper sweep.
+
+    When at least half of the rows are bare pivots (their L and U rows and
+    columns hold only the diagonal), the objects cover only the `coupled`
+    rows, in increasing order, and `diag` holds U's whole diagonal: SuperLU
+    visits a covered row about four times per solve, a bare row then costs
+    one division, and the split adds one gather and one scatter.  Otherwise
+    `coupled` and `diag` are None and the objects cover every row.  The
+    objects are None when they would cover no row.
+
+    The read-only `L` and `U` convert the factors back to CSR on each read;
+    SuperLU does not store the exact zeros ILUT may keep, so those are
+    absent from them.  `nnz` and `pivot_repairs` are ILUT's counts, summed
+    over the blocks.
     """
 
     n: int
@@ -161,14 +181,27 @@ class BlockILU:
     pivot_repairs: int
     lower: SuperLU | None
     upper: SuperLU | None
+    coupled: np.ndarray | None = None
+    diag: np.ndarray | None = None
 
     @property
     def L(self) -> sp.csr_matrix:
-        return canonical(self.lower.U.T if self.n else (0, 0))
+        return self._read(self.lower.U.T if self.lower else None, np.ones(self.n))
 
     @property
     def U(self) -> sp.csr_matrix:
-        return sp.csr_matrix(self.upper.U if self.n else (0, 0))
+        return self._read(self.upper.U if self.upper else None, self.diag)
+
+    def _read(self, T, diag) -> sp.csr_matrix:
+        """The n x n CSR factor: `T` on the covered rows, `diag` on the bare ones."""
+        if self.coupled is None:
+            return canonical(T if T is not None else (self.n, self.n))
+        bare = np.setdiff1d(np.arange(self.n), self.coupled)
+        T = sp.coo_matrix(T if T is not None else (0, 0))
+        rows = np.concatenate([bare, self.coupled[T.row]])
+        cols = np.concatenate([bare, self.coupled[T.col]])
+        vals = np.concatenate([diag[bare], T.data])
+        return canonical(sp.coo_matrix((vals, (rows, cols)), shape=(self.n, self.n)))
 
 
 def _prepare(T: sp.csc_matrix) -> SuperLU:
@@ -187,38 +220,74 @@ def _prepare(T: sp.csc_matrix) -> SuperLU:
     return splu(T, permc_spec="NATURAL", diag_pivot_thresh=0.0, relax=1)
 
 
+def _coupled_part(T: sp.csc_matrix, coupled: np.ndarray) -> sp.csc_matrix:
+    """`T` restricted to the `coupled` rows and columns, in CSC.
+
+    A bare row stores nothing off the diagonal, so the coupled columns hold
+    entries in coupled rows only, and renumbering those rows is enough.
+    """
+    pos = np.empty(T.shape[0], dtype=T.indices.dtype)
+    pos[coupled] = np.arange(coupled.size)
+    C = T[:, coupled]
+    return sp.csc_matrix((C.data, pos[C.indices], C.indptr), shape=(coupled.size,) * 2)
+
+
 def factor_blocks(A, block_sizes, droptol: float = 1e-2) -> BlockILU:
-    """ILUT each diagonal block of A, with blocks given by `block_sizes`."""
+    """ILUT each diagonal block of A, with blocks given by `block_sizes`.
+
+    When at least half of the rows are bare pivots, the SuperLU objects are
+    prepared over the coupled rows only (see `BlockILU`).
+    """
     A = canonical(A)
     sizes = np.asarray(block_sizes, dtype=np.int64)
     if sizes.sum() != A.shape[0] or A.shape[0] != A.shape[1]:
         raise ValueError("block sizes do not tile the matrix")
+    n = A.shape[0]
+    if n == 0:
+        return BlockILU(n=0, nnz=0, pivot_repairs=0, lower=None, upper=None)
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     factors = []
     for b in range(sizes.size):
         lo, hi = offsets[b], offsets[b + 1]
         factors.append(ilut(A[lo:hi, lo:hi], droptol=droptol))
-    n = A.shape[0]
+    # both reach SuperLU in CSC with no conversion copy: the transpose of
+    # L's CSR is CSC as it stands, and U is assembled in CSC
+    Lt = sp.block_diag([f.L for f in factors], format="csr").T
+    U = sp.block_diag([f.U for f in factors], format="csc")
+    # a row is bare when its L and U rows and columns store only the diagonal
+    bare = np.ones(n, dtype=bool)
+    for T in (Lt, U):
+        bare &= (np.diff(T.indptr) == 1) & (np.bincount(T.indices, minlength=n) == 1)
+    coupled = diag = None
+    if 2 * np.count_nonzero(bare) >= n:
+        coupled = np.flatnonzero(~bare)
+        diag = U.diagonal()
+        Lt, U = _coupled_part(Lt, coupled), _coupled_part(U, coupled)
     lower = upper = None
-    if n:
-        # both reach SuperLU in CSC with no conversion copy: the transpose
-        # of L's CSR is CSC as it stands, and U is assembled in CSC
-        lower = _prepare(sp.block_diag([f.L for f in factors], format="csr").T)
-        upper = _prepare(sp.block_diag([f.U for f in factors], format="csc"))
+    if Lt.shape[0]:
+        lower, upper = _prepare(Lt), _prepare(U)
     return BlockILU(n=n, nnz=sum(f.nnz for f in factors),
                     pivot_repairs=sum(f.pivot_repairs for f in factors),
-                    lower=lower, upper=upper)
+                    lower=lower, upper=upper, coupled=coupled, diag=diag)
 
 
 def block_solve(filu: BlockILU, rhs) -> np.ndarray:
     """Solve L U y = rhs, block by block (one assembled triangular pair).
 
     The factors were prepared when `filu` was built, so this is two compiled
-    triangular sweeps: L, as the transposed sweep of `lower`, then U.
+    triangular sweeps: L, as the transposed sweep of `lower`, then U.  With
+    split factors, the whole right-hand side is divided by U's diagonal,
+    which solves the bare rows, and the sweeps overwrite the coupled rows.
     """
     rhs = np.asarray(rhs, dtype=np.float64)
     if rhs.shape[0] != filu.n:
         raise ValueError(f"rhs has length {rhs.shape[0]}, factors are {filu.n}-dimensional")
     if filu.n == 0:
         return rhs.copy()
-    return filu.upper.solve(filu.lower.solve(rhs, trans="T"))
+    if filu.coupled is None:
+        return filu.upper.solve(filu.lower.solve(rhs, trans="T"))
+    out = rhs / (filu.diag if rhs.ndim == 1 else filu.diag[:, None])
+    if filu.upper is not None:
+        c = filu.coupled
+        out[c] = filu.upper.solve(filu.lower.solve(rhs[c], trans="T"))
+    return out

@@ -1,10 +1,11 @@
 """Right-preconditioned GMRES and preconditioned CG.
 
 Both solvers start from a zero initial guess and stop when the true-system
-relative residual ||b - A x|| / ||b|| drops below `tol`.  GMRES is full
-(unrestarted) unless a restart length is given; within a cycle the residual
-is tracked through the Givens-rotated Hessenberg recurrence and re-measured
-on the true system at cycle boundaries.
+relative residual ||b - A x|| / ||b|| drops below `tol`; a non-finite
+residual raises `ArithmeticError`, whatever stopped the iteration.  GMRES is
+full (unrestarted) unless a restart length is given; within a cycle the
+residual is tracked through the Givens-rotated Hessenberg recurrence and
+re-measured on the true system at cycle boundaries.
 """
 
 from __future__ import annotations
@@ -122,7 +123,7 @@ def gmres(apply_A, apply_M, b, tol: float = 1e-8, maxit: int = 500, restart: int
         elif breakdown:
             break  # subspace exhausted without convergence
 
-    if not converged and total < maxit and not np.isfinite(relres):
+    if not np.isfinite(relres):   # whatever stopped the loop, maxit included
         raise ArithmeticError("GMRES diverged: non-finite residual")
     # one history entry per iteration run, also after a breakdown stop
     report = SolveReport(converged, total, relres, history, time.perf_counter() - t0)
@@ -158,6 +159,8 @@ def cg(apply_A, apply_M, b, tol: float = 1e-8, maxit: int = 500):
         x = x + alpha * p
         r = r - alpha * Ap
         relres = np.linalg.norm(r) / bnorm
+        if not np.isfinite(relres):
+            raise ArithmeticError("CG diverged: non-finite residual")
         history.append(relres)
         if relres <= tol:
             converged = True

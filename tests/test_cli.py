@@ -475,6 +475,18 @@ def test_perfbench_patch_points_exist():
         pass
 
 
+@pytest.mark.parametrize("workload", ["tiny-solve", "tiny-sweep"])
+def test_perfbench_trace_contract(workload):
+    """perfbench/spans.py keys solve spans on the BlockILU object, reads its
+    `L`, `U` and `n`, and requires one `block_solve` per B or C0 solve; a
+    traced benchmark run exits 0 only while the library keeps that contract."""
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                           "--seed", "0", "--seconds", "1", "--trace", "1"],
+                          cwd=root, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+
+
 def test_launcher_loads_no_numpy():
     """The launcher can only size the BLAS pool if numpy is not loaded yet."""
     proc = _run_child(["-c", "import sys, pslr._main; print('numpy' in sys.modules)"])

@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from pslr.ilu import IluFactor, block_solve, factor_blocks, ilut
+from pslr.ilu import IluFactor, _prepare, block_solve, factor_blocks, ilut
 from pslr.problems import parse_problem
 from pslr.schur import _split_blocks
 from pslr.sparse import canonical
@@ -146,6 +146,44 @@ _BLOCK_CASES = [
     ([_zero_pivot_block(24, 23), random_sparse(31, density=0.2, seed=24)], 1e-2),
     ([random_sparse(12, seed=25), _zero_pivot_block(36, 26), random_sparse(9, seed=27)], 1e-3),
 ]
+
+
+def _mostly_bare_block(n, core, seed):
+    """n x n block whose rows outside a scattered random `core` x `core`
+    submatrix hold only a diagonal entry, so they factor to bare pivots."""
+    rng = np.random.default_rng(seed)
+    idx = np.sort(rng.choice(n, core, replace=False))
+    bare = np.setdiff1d(np.arange(n), idx)
+    C = random_sparse(core, density=0.3, seed=seed).tocoo()
+    rows = np.concatenate([idx[C.row], bare])
+    cols = np.concatenate([idx[C.col], bare])
+    vals = np.concatenate([C.data, rng.uniform(1.0, 2.0, bare.size) * rng.choice([-1, 1], bare.size)])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+
+def _chain_block(n, core):
+    """n x n block: a 1D Laplacian on the first `core` rows, 3 on the diagonal
+    after them.  Its factors are bidiagonal on the chain, so each column of L
+    and U stores at most one entry off the diagonal."""
+    return sp.block_diag([lap1d(core), 3.0 * sp.identity(n - core)], format="csr")
+
+
+# blocks whose factors are mostly bare pivots, so their SuperLU objects are
+# prepared over the coupled rows only
+_SPLIT_CASES = [
+    ([_mostly_bare_block(40, 12, 30), _mostly_bare_block(50, 15, 31)], 0.0),
+    ([_mostly_bare_block(40, 12, 32), _mostly_bare_block(50, 15, 33)], 1e-2),
+    ([_chain_block(30, 9), _chain_block(25, 8)], 0.0),
+]
+
+
+def _full_objects(blocks, droptol):
+    """SuperLU objects over every row, prepared from the ILUT factors the way
+    they were before bare pivots were split off; returns (lower, upper, L, U)."""
+    factors = [ilut(blk, droptol) for blk in blocks]
+    L = sp.block_diag([f.L for f in factors], format="csr")
+    U = sp.block_diag([f.U for f in factors], format="csc")
+    return _prepare(L.T), _prepare(U), L, U
 
 
 def _factor_case(blocks, droptol):
@@ -288,30 +326,102 @@ class TestPreparedSolve:
         assert repaired[0] == repaired[1] == 0
         assert repaired[2] >= 1 and repaired[3] >= 1
 
-    @pytest.mark.parametrize("blocks,droptol", _BLOCK_CASES)
+    @pytest.mark.parametrize("blocks,droptol", _BLOCK_CASES + _SPLIT_CASES)
     def test_prepared_factors_are_the_ilu_factors(self, blocks, droptol):
         # no reordering and no re-pivoting: SuperLU keeps its input as given,
         # so `upper` holds U as its U and `lower` holds L transposed as its U,
-        # both beside an identity, and the factors read back from them are
-        # the standalone ILUT factors
+        # both beside an identity, over every row or, split, over the coupled
+        # rows only; and the factors read back are the standalone ILUT factors
+        split = any(blocks is case[0] for case in _SPLIT_CASES)
         bf = _factor_case(blocks, droptol)
-        ident = np.arange(bf.n)
-        eye = sp.identity(bf.n, format="csc")
+        assert (bf.coupled is not None) == split
+        rows = bf.coupled if split else np.arange(bf.n)
+        if split:
+            assert 2 * rows.size <= bf.n
+        ident = np.arange(rows.size)
+        eye = sp.identity(rows.size, format="csc")
         for solver in (bf.lower, bf.upper):
+            assert solver.shape == (rows.size, rows.size)
             np.testing.assert_array_equal(solver.perm_r, ident)
             np.testing.assert_array_equal(solver.perm_c, ident)
             assert abs(solver.L - eye).max() == 0.0
         factors = [ilut(blk, droptol) for blk in blocks]
         L = sp.block_diag([f.L for f in factors], format="csr")
         U = sp.block_diag([f.U for f in factors], format="csr")
-        _assert_same_csr(canonical(bf.lower.U.T), L)
+        _assert_same_csr(canonical(bf.lower.U.T), L[rows][:, rows])
+        _assert_same_csr(canonical(bf.upper.U), U[rows][:, rows])
         for M, R in ((bf.L, L), (bf.U, U)):
             _assert_same_csr(M, R)
 
     def test_factors_stored_once(self):
-        bf = _factor_case(*_BLOCK_CASES[1])
-        stored = [name for name, value in vars(bf).items() if sp.issparse(value)]
-        assert stored == []
+        for case in (_BLOCK_CASES[1], _SPLIT_CASES[0]):
+            bf = _factor_case(*case)
+            stored = [name for name, value in vars(bf).items() if sp.issparse(value)]
+            assert stored == []
+
+    @pytest.mark.parametrize("blocks,droptol", _SPLIT_CASES)
+    def test_split_solve(self, blocks, droptol):
+        # the coupled rows are exactly those whose L or U row or column
+        # stores an entry off the diagonal; the bare rows are rhs / diag to
+        # the bit, as the full objects' sweeps give them
+        bf = _factor_case(blocks, droptol)
+        lower, upper, L, U = _full_objects(blocks, droptol)
+        off = [abs(M - sp.diags(M.diagonal())) for M in (L, U)]
+        touched = sum(np.diff(M.indptr) + np.bincount(M.indices, minlength=bf.n) for M in off)
+        np.testing.assert_array_equal(bf.coupled, np.flatnonzero(touched))
+        np.testing.assert_array_equal(bf.diag, U.diagonal())
+        bare = np.flatnonzero(touched == 0)
+        rng = np.random.default_rng(34)
+        for rhs in (rng.standard_normal(bf.n), rng.standard_normal((bf.n, 3))):
+            full = upper.solve(lower.solve(rhs, trans="T"))
+            out = block_solve(bf, rhs)
+            assert out.shape == rhs.shape
+            np.testing.assert_array_equal(out[bare], full[bare])
+            assert np.abs(out - full).max() <= 1e-13 * np.abs(full).max()
+        for _ in range(3):
+            rhs = rng.standard_normal(bf.n)
+            ref = _oracle_solve(bf, rhs)
+            assert np.linalg.norm(block_solve(bf, rhs) - ref) <= 1e-13 * np.linalg.norm(ref)
+
+    def test_split_solve_bit_identical_on_chains(self):
+        # each factor column stores at most one entry off the diagonal, so no
+        # sweep sums two products and the order SuperLU stores them in cannot
+        # matter: the split solve equals the full objects' to the bit.  (With
+        # more entries per column, SuperLU's panel search may store a column's
+        # entries in another order in the smaller object, and the coupled rows
+        # then agree to rounding, as `test_split_solve` checks.)
+        blocks, droptol = _SPLIT_CASES[2]
+        bf = _factor_case(blocks, droptol)
+        lower, upper, _, _ = _full_objects(blocks, droptol)
+        rng = np.random.default_rng(35)
+        for rhs in (rng.standard_normal(bf.n), rng.standard_normal((bf.n, 4))):
+            full = upper.solve(lower.solve(rhs, trans="T"))
+            np.testing.assert_array_equal(block_solve(bf, rhs).view(np.int64),
+                                          full.view(np.int64))
+
+    @pytest.mark.parametrize("n,split", [(18, True), (17, False)])
+    def test_split_takes_at_least_half(self, n, split):
+        # a 9-row chain: 9 coupled rows, so 9 bare rows of 18 split and 8 of 17 do not
+        bf = factor_blocks(_chain_block(n, 9), [n], droptol=0.0)
+        assert (bf.coupled is not None) == split
+        assert bf.lower.shape == ((9, 9) if split else (n, n))
+
+    def test_all_diagonal_needs_no_superlu(self):
+        d = np.array([2.0, -3.0, 0.5, 7.0, -1.25, 4.0])
+        bf = factor_blocks(sp.diags(d, format="csr"), [2, 4], droptol=1e-2)
+        assert bf.coupled.size == 0 and bf.lower is None and bf.upper is None
+        _assert_same_csr(bf.L, sp.identity(6, format="csr"))
+        _assert_same_csr(bf.U, sp.diags(d, format="csr"))
+        rhs = np.random.default_rng(36).standard_normal((6, 2))
+        np.testing.assert_array_equal(block_solve(bf, rhs), rhs / d[:, None])
+        np.testing.assert_array_equal(block_solve(bf, rhs[:, 0]), rhs[:, 0] / d)
+
+    def test_b_like_factors_stay_whole(self):
+        # a 3D Laplacian block: its factors couple nearly every row
+        A = parse_problem("lap3d:6,6,6,0.0")[1]
+        bf = factor_blocks(A, [A.shape[0]], droptol=1e-2)
+        assert bf.coupled is None and bf.diag is None
+        assert bf.lower.shape == bf.upper.shape == A.shape
 
     def test_stored_zero_multiplier(self):
         # at droptol 0 the explicit zero A[2, 0] gives a kept multiplier of

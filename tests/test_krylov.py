@@ -89,6 +89,13 @@ class TestGmres:
         assert len(rep.history) == rep.iterations + 1
         assert rep.history[-1] == rep.final_relres <= 1e-14
 
+    @pytest.mark.parametrize("maxit", [1, 500])
+    def test_non_finite_residual_raises(self, maxit):
+        # the one step breaks down with y = 1e10 / 1e-300 = inf, so x and its
+        # residual are not finite; that raises whether or not maxit ended the loop
+        with np.errstate(all="ignore"), pytest.raises(ArithmeticError):
+            gmres(lambda v: 1e-300 * v, None, np.array([1e10]), maxit=maxit)
+
     def test_unreached_basis_columns_stay_untouched(self):
         # a 100000 x 201 basis is 153 MiB; a run that stops after one
         # iteration must not make all of it resident
@@ -182,6 +189,17 @@ class TestCg:
         A = np.diag([1.0, -1.0, 2.0])
         with pytest.raises(NotSpdError):
             cg(lambda v: A @ v, None, np.ones(3))
+
+    def test_non_finite_residual_raises(self):
+        calls = []
+
+        def apply_nan(v):
+            calls.append(1)
+            return np.full_like(v, np.nan)
+
+        with pytest.raises(ArithmeticError):
+            cg(apply_nan, None, np.ones(3))
+        assert len(calls) == 1   # at the first non-finite residual, not after maxit
 
     def test_history_and_failure_contract(self):
         A = lap1d(400)
