@@ -68,6 +68,11 @@ def ilut(block, droptol: float = 1e-2) -> IluFactor:
     """Incomplete LU of a square block with threshold dropping.
 
     With droptol=0 and no pivot repairs this is the exact (no-pivoting) LU.
+    As in Saad's ILUT, the factors depend on the scale of the block: a
+    multiplier a_ik / u_kk, which has no units, is dropped below
+    droptol * ||a_i||, which has the block's.  On lap3d 10^3 with shift 0.3,
+    `pslr solve --s 4 --m 2 --rank 5` has fill_total 1.20 for A, 0.80 for
+    1e10 * A and 2.19 for 1e-10 * A.
     """
     A = canonical(block)
     if A.shape[0] != A.shape[1]:
@@ -80,7 +85,6 @@ def ilut(block, droptol: float = 1e-2) -> IluFactor:
         return IluFactor(L=empty, U=empty.copy(), n=0, pivot_repairs=0)
 
     row_norms = np.sqrt(np.asarray(A.multiply(A).sum(axis=1)).ravel()).tolist()
-    eps = float(np.finfo(np.float64).eps)
     a_ptr, a_idx, a_val = A.indptr.tolist(), A.indices.tolist(), A.data.tolist()
 
     # finished U rows: diagonal, then (column, value) pairs after it
@@ -123,14 +127,13 @@ def ilut(block, droptol: float = 1e-2) -> IluFactor:
                         heappush(heap, c)
                     elif c > i:
                         right.append(c)
-        # diagonal pivot; repair if zero or absent
+        # diagonal pivot; a zero or absent one is repaired to droptol * ||a_i||,
+        # or at droptol 0 to SPARSKIT ILUT's 1e-4 * ||a_i||, with sign +
+        # (eps * ||a_i|| would leave U numerically singular)
         diag = val[i] if mark[i] == i else 0.0
         if diag == 0.0:
             base = row_norms[i] if row_norms[i] > 0 else 1.0
-            repl = droptol * base
-            if repl == 0.0:
-                repl = eps * base
-            diag = repl  # original pivot was zero/absent: sign taken as +
+            diag = droptol * base or 1e-4 * base
             pivot_repairs += 1
         right.sort()
         row = [(j, v) for j in right if abs(v := val[j]) >= tau and v != 0.0]

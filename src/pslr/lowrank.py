@@ -14,8 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from .krylov import arnoldi_steps
 
-BREAKDOWN_RTOL = 1e-14
+
 SINGULAR_PIVOT_RTOL = 1e-14
 
 
@@ -43,8 +44,8 @@ def arnoldi(op, dim: int, rank: int, seed: int = 0):
     vector is a normalized seeded pseudo-random vector.  Returns (V, H, r)
     where r < rank signals happy breakdown: what is left of op(v_j) after
     orthogonalization is at most BREAKDOWN_RTOL times the largest ||op(v_i)||
-    so far, so a scaled operator stops at the same step.  ||op(v_j)|| alone
-    is no scale: past the Krylov dimension op(v_j) is itself rounding noise.
+    so far, so a scaled operator stops at the same step (see
+    `krylov.arnoldi_steps`, which runs the process).
     """
     if rank < 0:
         raise ValueError("rank must be >= 0")
@@ -52,29 +53,12 @@ def arnoldi(op, dim: int, rank: int, seed: int = 0):
     if dim == 0 or rank == 0:
         return np.zeros((dim, 0)), np.zeros((0, 0)), 0
 
-    rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(dim)
-    beta0 = np.linalg.norm(v0)
-    V = np.zeros((dim, rank + 1))
+    v0 = np.random.default_rng(seed).standard_normal(dim)
     Hbar = np.zeros((rank + 1, rank))
-    V[:, 0] = v0 / beta0
-
-    r = rank
-    opnorm = 0.0
-    for j in range(rank):
-        w = np.asarray(op(V[:, j]), dtype=np.float64)
-        opnorm = max(opnorm, np.linalg.norm(w))
-        h = V[:, :j + 1].T @ w
-        w = w - V[:, :j + 1] @ h
-        h2 = V[:, :j + 1].T @ w      # one reorthogonalization pass
-        w = w - V[:, :j + 1] @ h2
-        Hbar[:j + 1, j] = h + h2
-        hnext = np.linalg.norm(w)
+    for V, j, h, hnext, _ in arnoldi_steps(op, v0, rank):
+        Hbar[:j + 1, j] = h
         Hbar[j + 1, j] = hnext
-        if hnext <= BREAKDOWN_RTOL * opnorm:
-            r = j + 1
-            break
-        V[:, j + 1] = w / hnext
+    r = j + 1
     return V[:, :r].copy(), Hbar[:r, :r].copy(), r
 
 

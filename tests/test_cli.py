@@ -13,6 +13,7 @@ import pslr.cli
 import pslr.preconditioner
 from pslr.cli import build_parser, main
 from pslr.diagnostics import dense_schur
+from pslr.problems import parse_problem
 from pslr.sparse import write_matrix_market
 
 from conftest import child_env, lap1d
@@ -55,6 +56,17 @@ class TestSolve:
         write_matrix_market(lap1d(40), mtx)
         out = tmp_path / "o.json"
         code = main(["solve", "--matrix", str(mtx), "--s", "2", "--rank", "2",
+                     "--out", str(out)])
+        assert code == 0
+        assert json.loads(out.read_text())["converged"] is True
+
+    def test_scaled_matrix_file_converges(self, tmp_path):
+        # GMRES's breakdown test is in the operator's units, so 1e12 * A does
+        # not stop it after one step
+        mtx = tmp_path / "a.mtx"
+        write_matrix_market(1e12 * parse_problem("lap3d:10,10,10,0.3")[1], mtx)
+        out = tmp_path / "o.json"
+        code = main(["solve", "--matrix", str(mtx), "--s", "4", "--m", "2", "--rank", "5",
                      "--out", str(out)])
         assert code == 0
         assert json.loads(out.read_text())["converged"] is True

@@ -7,6 +7,8 @@ import pytest
 import scipy.sparse as sp
 
 from pslr.krylov import NotSpdError, cg, gmres
+from pslr.preconditioner import PslrConfig, build
+from pslr.problems import parse_problem
 
 from conftest import child_env, lap1d, random_sparse
 
@@ -15,6 +17,16 @@ def _dense_spd(n, seed):
     rng = np.random.default_rng(seed)
     M = rng.standard_normal((n, n))
     return M @ M.T + n * np.eye(n)
+
+
+@pytest.fixture(scope="module")
+def lap3d_pslr():
+    """The reordered lap3d 10^3 matrix (shift 0.3), its PSLR apply (s=4, m=2,
+    rank 5) and b = A x for a seeded random x."""
+    _, A = parse_problem("lap3d:10,10,10,0.3")
+    P = build(A, PslrConfig(num_subdomains=4, series_degree=2, rank=5, seed=0))
+    Ap = P.system.matrix
+    return Ap, P.apply, Ap @ np.random.default_rng(0).standard_normal(Ap.shape[0])
 
 
 class TestGmres:
@@ -91,8 +103,8 @@ class TestGmres:
 
     @pytest.mark.parametrize("maxit", [1, 500])
     def test_non_finite_residual_raises(self, maxit):
-        # the one step breaks down with y = 1e10 / 1e-300 = inf, so x and its
-        # residual are not finite; that raises whether or not maxit ended the loop
+        # the one step breaks down at the solution x = 1e10 / 1e-300, which
+        # overflows; that raises whether or not maxit ended the loop
         with np.errstate(all="ignore"), pytest.raises(ArithmeticError):
             gmres(lambda v: 1e-300 * v, None, np.array([1e10]), maxit=maxit)
 
@@ -150,6 +162,42 @@ class TestGmres:
         x, rep = gmres(lambda v: v, None, np.zeros(4))
         assert rep.converged and rep.iterations == 0
         np.testing.assert_array_equal(x, np.zeros(4))
+
+    def test_tol_reached_before_the_first_cycle(self):
+        x, rep = gmres(lambda v: 2.0 * v, None, np.ones(4), tol=1.0)
+        assert rep.converged and rep.iterations == 0 and rep.history == [1.0]
+        np.testing.assert_array_equal(x, np.zeros(4))
+
+    def test_zero_operator_raises(self):
+        # the first step breaks down with a zero pivot, so the update is not finite
+        with np.errstate(all="ignore"), pytest.raises(ArithmeticError):
+            gmres(lambda v: 0 * v, None, np.ones(4))
+
+    @pytest.mark.parametrize("a_scale,b_scale", [(1.0, 1e12), (1e-15, 1.0),
+                                                 (1.0, 1e-170), (1.0, 1e160)])
+    def test_scale_does_not_change_the_iteration(self, lap3d_pslr, a_scale, b_scale):
+        # the breakdown test is in the operator's units and ||b|| is taken
+        # after an exact power-of-two scaling, so neither stops the solve early
+        Ap, apply_M, b = lap3d_pslr
+        x0, rep0 = gmres(lambda v: Ap @ v, apply_M, b)
+        x, rep = gmres(lambda v: a_scale * (Ap @ v), apply_M, b_scale * b)
+        assert rep0.converged and rep0.iterations > 10
+        assert rep.converged and rep.iterations == rep0.iterations
+        np.testing.assert_allclose(x * (a_scale / b_scale), x0, rtol=1e-6)
+
+    @pytest.mark.parametrize("k", [-600, -7, 5, 900])
+    def test_power_of_two_scaling_is_exact(self, lap3d_pslr, k):
+        Ap, apply_M, b = lap3d_pslr
+        x0, rep0 = gmres(lambda v: Ap @ v, apply_M, b)
+        x, rep = gmres(lambda v: Ap @ v, apply_M, np.ldexp(b, k))
+        np.testing.assert_array_equal(x, np.ldexp(x0, k))
+        assert rep.history == rep0.history
+
+    @pytest.mark.parametrize("maxit", [3, 500])
+    def test_converged_is_a_python_bool(self, maxit):
+        A = _dense_spd(20, 7)
+        _, rep = gmres(lambda v: A @ v, None, np.ones(20), maxit=maxit)
+        assert type(rep.converged) is bool and rep.converged == (maxit == 500)
 
     def test_matches_reference_iteration_count(self):
         # same operator, zero guess, same tol: iteration counts should agree
@@ -213,3 +261,23 @@ class TestCg:
     def test_zero_rhs(self):
         x, rep = cg(lambda v: v, None, np.zeros(3))
         assert rep.converged and rep.iterations == 0
+
+    @pytest.mark.parametrize("b_scale", [1e-170, 1e160])
+    def test_scale_does_not_change_the_iteration(self, b_scale):
+        _, A = parse_problem("lap3d:8,8,8,0")
+        b = A @ np.random.default_rng(0).standard_normal(A.shape[0])
+        x0, rep0 = cg(lambda v: A @ v, None, b)
+        x, rep = cg(lambda v: A @ v, None, b_scale * b)
+        assert rep0.converged and rep0.iterations > 10
+        assert rep.converged and rep.iterations == rep0.iterations
+        np.testing.assert_allclose(x / b_scale, x0, rtol=1e-6)
+
+    @pytest.mark.parametrize("k", [-600, 900])
+    def test_power_of_two_scaling_is_exact(self, k):
+        A = lap1d(100)
+        b = np.ones(100)
+        x0, rep0 = cg(lambda v: A @ v, None, b)
+        x, rep = cg(lambda v: A @ v, None, np.ldexp(b, k))
+        np.testing.assert_array_equal(x, np.ldexp(x0, k))
+        assert rep.history == rep0.history
+        assert type(rep.converged) is bool

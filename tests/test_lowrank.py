@@ -98,6 +98,16 @@ class TestArnoldi:
         else:
             assert 11 <= ranks[1] <= 12
 
+    @pytest.mark.parametrize("qseed", [0, 1, 2])
+    def test_breakdown_at_the_krylov_dimension(self, qseed):
+        # rank 10, so the Krylov space has dimension 11: at step 11 the
+        # remainder is 2e-13 to 3e-12 of the largest ||op(v_i)||, rounding
+        # noise that must not become a twelfth basis column
+        Q, _ = np.linalg.qr(np.random.default_rng(qseed).standard_normal((40, 40)))
+        M = (Q[:, :10] * np.arange(1.0, 11.0)) @ Q[:, :10].T
+        V, H, r = arnoldi(lambda v: M @ v, 40, 20, seed=0)
+        assert r == 11 and V.shape == (40, 11) and H.shape == (11, 11)
+
 
 class TestCorrection:
     def test_woodbury_core(self):
