@@ -40,6 +40,7 @@ not, and keep objects over every row.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
@@ -219,8 +220,33 @@ def _prepare(T: sp.csc_matrix) -> SuperLU:
     relaxed supernodes: they amalgamate small subtrees into dense blocks to
     speed up a factorization, but `T` is already factored, so they would
     only make every sweep run dense kernels over the zeros they add.
+
+    SuperLU sizes its work arrays from a fill estimate, about 20 times the
+    entries of `T`, and keeps them; the pages it never writes cost no RSS,
+    but they count against an address-space limit (`ulimit -v`).  When an
+    allocation fails, SuperLU raises `RuntimeError`, or writes a message
+    with no newline to file descriptor 2 and scipy raises a bare
+    `MemoryError`.  So fd 2 is held in a pipe while SuperLU runs, and either
+    failure becomes one `MemoryError` that carries SuperLU's message.
     """
-    return splu(T, permc_spec="NATURAL", diag_pivot_thresh=0.0, relax=1)
+    r, w = os.pipe()
+    os.set_blocking(w, False)   # a full pipe drops the rest, never blocks
+    stderr = os.dup(2)
+    os.dup2(w, 2)
+    os.close(w)
+    try:
+        return splu(T, permc_spec="NATURAL", diag_pivot_thresh=0.0, relax=1)
+    except (MemoryError, RuntimeError) as exc:
+        if isinstance(exc, RuntimeError) and "MALLOC" not in str(exc):
+            raise
+        os.dup2(stderr, 2)   # closes the pipe's last write end, so the read ends
+        said = str(exc) or os.read(r, 1 << 16).decode(errors="replace")
+        raise MemoryError(f"SuperLU could not allocate the work arrays of a "
+                          f"{T.shape[0]}-row factor: {said.strip()}") from None
+    finally:
+        os.dup2(stderr, 2)
+        os.close(stderr)
+        os.close(r)
 
 
 def _coupled_part(T: sp.csc_matrix, coupled: np.ndarray) -> sp.csc_matrix:

@@ -59,20 +59,28 @@ def _scaled_back(x, e, solver):
     return x
 
 
-def arnoldi_steps(op, v0, steps: int):
+def arnoldi_steps(op, v0, steps: int, name: str = "Arnoldi"):
     """The Arnoldi process on `op` from the direction of `v0`, one step per yield.
 
-    V is column-major with `steps` columns, each written when its step runs,
-    so the pages of columns never reached are never touched.  Step j
-    orthogonalizes w = op(v_j) against v_0..v_j by two passes of classical
-    Gram-Schmidt and yields (V, j, h, hnext, breakdown): the Hessenberg
-    column h above the subdiagonal hnext = ||w||.  It breaks down, and stops
-    after that yield, when hnext is at most BREAKDOWN_RTOL times the largest
-    ||op(v_i)|| so far, so a scaled operator or start stops at the same step;
-    ||op(v_j)|| alone is no scale, being rounding noise past the Krylov
-    dimension.
+    Step j orthogonalizes w = op(v_j) against v_0..v_j by two passes of
+    classical Gram-Schmidt and yields (V, j, h, hnext, breakdown): the
+    Hessenberg column h above the subdiagonal hnext = ||w||.  It breaks down,
+    and stops after that yield, when hnext is at most BREAKDOWN_RTOL times
+    the largest ||op(v_i)|| so far, so a scaled operator or start stops at the
+    same step; ||op(v_j)|| alone is no scale, being rounding noise past the
+    Krylov dimension.  A non-finite hnext, which a non-finite h or op(v_j)
+    also gives, raises `ArithmeticError` with `name` in its message.
+
+    V is column-major with `steps` columns and is not initialized: step j
+    writes column j before anything reads it, and callers read only
+    V[:, :j+1].  So the pages of columns never reached are never touched.
+    A zero-filled V would touch all of them whenever the block comes from
+    the heap, as glibc serves blocks below its mmap threshold (raised up to
+    32 MiB once a large mmapped block is freed), and `calloc` then clears
+    the whole block: 32 MB for an 8000 x 500 basis that a solve uses 35
+    columns of.
     """
-    V = np.zeros((v0.shape[0], steps), order="F")
+    V = np.empty((v0.shape[0], steps), order="F")
     w, hnext = v0, np.linalg.norm(v0)
     opnorm = 0.0
     for j in range(steps):
@@ -85,6 +93,8 @@ def arnoldi_steps(op, v0, steps: int):
         h2 = basis.T @ w
         w = w - basis @ h2
         hnext = np.linalg.norm(w)
+        if not np.isfinite(hnext):
+            raise ArithmeticError(f"{name} diverged: non-finite values in the recurrence")
         breakdown = hnext <= BREAKDOWN_RTOL * opnorm
         yield V, j, h + h2, hnext, breakdown
         if breakdown:
@@ -112,12 +122,11 @@ def gmres(apply_A, apply_M, b, tol: float = 1e-8, maxit: int = 500, restart: int
     breakdown = False
     while total < maxit and relres > tol and not breakdown:
         cycle = maxit - total if restart <= 0 else min(restart, maxit - total)
-        R = np.zeros((cycle, cycle))   # Hessenberg columns, rotated upper triangular
+        R = np.empty((cycle, cycle))   # rotated Hessenberg columns, upper triangle only
         rotations = []                 # (c, s) of each Givens rotation
         g = [beta]                     # the rotated least-squares right-hand side
-        for V, j, h, hnext, breakdown in arnoldi_steps(lambda v: apply_A(apply_M(v)), r, cycle):
-            if not np.isfinite(hnext):   # also when h is not finite
-                raise ArithmeticError("GMRES diverged: non-finite values in the recurrence")
+        for V, j, h, hnext, breakdown in arnoldi_steps(lambda v: apply_A(apply_M(v)), r, cycle,
+                                                       name="GMRES"):
             col = h.tolist()
             for i, (c, s) in enumerate(rotations):
                 col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]

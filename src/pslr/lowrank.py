@@ -45,7 +45,8 @@ def arnoldi(op, dim: int, rank: int, seed: int = 0):
     where r < rank signals happy breakdown: what is left of op(v_j) after
     orthogonalization is at most BREAKDOWN_RTOL times the largest ||op(v_i)||
     so far, so a scaled operator stops at the same step (see
-    `krylov.arnoldi_steps`, which runs the process).
+    `krylov.arnoldi_steps`, which runs the process).  An operator that
+    gives non-finite values raises `ArithmeticError`.
     """
     if rank < 0:
         raise ValueError("rank must be >= 0")
@@ -63,12 +64,19 @@ def arnoldi(op, dim: int, rank: int, seed: int = 0):
 
 
 def build_correction(V, H) -> LowRankCorrection:
-    """G = (I - H)^{-1} - I via dense LU with partial pivoting."""
+    """G = (I - H)^{-1} - I via dense LU with partial pivoting.
+
+    Raises `ArithmeticError` when H is not finite, which the singular-pivot
+    test alone would let through: it is False for a NaN pivot.
+    """
     V = np.asarray(V, dtype=np.float64)
     H = np.asarray(H, dtype=np.float64)
     r = H.shape[0]
     if H.shape != (r, r):
         raise ValueError("H must be square")
+    if not np.all(np.isfinite(H)):
+        raise ArithmeticError("correction not finite: the Arnoldi Hessenberg matrix has "
+                              "non-finite entries")
     if r == 0:
         return LowRankCorrection(V=V, H=H, G=np.zeros((0, 0)), rank=0)
     M = np.eye(r) - H

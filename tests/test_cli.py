@@ -3,6 +3,7 @@ import json
 import shutil
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -150,6 +151,46 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert "GMRES diverged" in err
+
+    def test_overflowing_series_residual_is_an_error(self, tmp_path, capsys):
+        # diagonal 1e-6 beside off-diagonals of -1: at m=3 the Arnoldi H
+        # already holds entries of 1e96, and at m=20 the series residual
+        # operator overflows in the first Arnoldi step
+        _, A = parse_problem("lap3d:6,6,6,0.0")
+        A = A.tolil()
+        A.setdiag(1e-6)
+        mtx = tmp_path / "tiny_diagonal.mtx"
+        write_matrix_market(A.tocsr(), mtx)
+        with np.errstate(all="ignore"):
+            code = main(["solve", "--matrix", str(mtx), "--s", "4", "--m", "20",
+                         "--rank", "3"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Arnoldi diverged" in err
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmSize from /proc")
+    def test_address_space_limit_is_an_error(self):
+        # SuperLU reserves about 20 times the entries of each factor it is
+        # given: 29 MiB of address space (2 MiB resident) for lap3d 20^3 at
+        # s=16. 16 MiB above the child's size after its imports leaves room
+        # for everything else the build allocates before SuperLU fails.
+        code = textwrap.dedent("""
+            import resource, sys
+            import pslr.cli
+
+            with open("/proc/self/status") as fh:
+                size = next(int(l.split()[1]) for l in fh if l.startswith("VmSize:")) * 1024
+            resource.setrlimit(resource.RLIMIT_AS,
+                               (size + (16 << 20), resource.getrlimit(resource.RLIMIT_AS)[1]))
+            sys.exit(pslr.cli.main(["solve", "--problem", "lap3d:20,20,20,0.0", "--s", "16",
+                                    "--rank", "5", "--out", "/dev/null"]))
+        """)
+        out = subprocess.run([sys.executable, "-c", code], env=child_env(),
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 1, out.stderr
+        assert out.stderr.startswith("error:") and out.stderr.count("\n") == 1, out.stderr
+        assert "SuperLU" in out.stderr
 
     def test_matrix_without_entries_is_an_error(self, tmp_path, capsys):
         mtx = tmp_path / "empty.mtx"

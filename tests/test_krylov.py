@@ -1,3 +1,4 @@
+import platform
 import subprocess
 import sys
 import textwrap
@@ -6,11 +7,32 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from pslr.krylov import NotSpdError, cg, gmres
+from pslr import krylov
+from pslr.krylov import NotSpdError, arnoldi_steps, cg, gmres
+from pslr.lowrank import arnoldi
 from pslr.preconditioner import PslrConfig, build
 from pslr.problems import parse_problem
 
 from conftest import child_env, lap1d, random_sparse
+
+
+ON_LINUX = sys.platform.startswith("linux")
+
+# A child's ru_maxrss starts at the RSS of the process that forked it, the
+# test runner here, so the peak is read from VmHWM, which starts afresh at exec.
+PEAK_MIB = textwrap.dedent("""
+    def peak_mib():
+        with open("/proc/self/status") as fh:
+            return next(int(l.split()[1]) for l in fh if l.startswith("VmHWM:")) / 1024
+""")
+
+
+def _peak_growth_mib(code):
+    """Run `code`, which prints peak_mib() growth, in a fresh interpreter."""
+    out = subprocess.run([sys.executable, "-c", PEAK_MIB + textwrap.dedent(code)],
+                         env=child_env(), capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return float(out.stdout)
 
 
 def _dense_spd(n, seed):
@@ -108,11 +130,11 @@ class TestGmres:
         with np.errstate(all="ignore"), pytest.raises(ArithmeticError):
             gmres(lambda v: 1e-300 * v, None, np.array([1e10]), maxit=maxit)
 
+    @pytest.mark.skipif(not ON_LINUX, reason="reads VmHWM from /proc")
     def test_unreached_basis_columns_stay_untouched(self):
         # a 100000 x 201 basis is 153 MiB; a run that stops after one
         # iteration must not make all of it resident
-        code = textwrap.dedent("""
-            import resource
+        growth = _peak_growth_mib("""
             import numpy as np
             from pslr.krylov import gmres
 
@@ -122,16 +144,37 @@ class TestGmres:
             apply_A = lambda v: d * v
             apply_M = lambda v: v / d
             gmres(lambda v: 2.0 * v, None, np.ones(10), maxit=2)  # warm-up
-            before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            before = peak_mib()
             x, rep = gmres(apply_A, apply_M, b, tol=1e-8, maxit=200)
-            after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
             assert rep.converged and rep.iterations == 1, rep
-            print((after - before) / 1024)  # ru_maxrss is in KiB on Linux
+            print(peak_mib() - before)
         """)
-        out = subprocess.run([sys.executable, "-c", code], env=child_env(),
-                             capture_output=True, text=True, timeout=120)
-        assert out.returncode == 0, out.stderr
-        assert float(out.stdout) < 40.0
+        assert growth < 40.0
+
+    @pytest.mark.skipif(not ON_LINUX or platform.libc_ver()[0] != "glibc",
+                        reason="glibc's mmap threshold decides where the basis comes from")
+    def test_repeated_solves_touch_only_the_basis_they_build(self):
+        # an 8000 x 500 basis is 30.5 MiB: once the warm-up frees its mmapped
+        # one, glibc raises its mmap threshold above that size and later bases
+        # come from the heap, where a zero-filled one would be cleared in full
+        growth = _peak_growth_mib("""
+            import numpy as np
+            from pslr.krylov import gmres
+
+            d = np.repeat([1.0, 2.0, 3.0, 4.0, 5.0], 1600)
+            b = np.ones(d.size)
+
+            def solve():
+                x, rep = gmres(lambda v: d * v, None, b, tol=1e-10, maxit=500)
+                assert rep.converged and rep.iterations == 5, rep
+
+            solve()   # warm-up
+            before = peak_mib()
+            for _ in range(4):
+                solve()
+            print(peak_mib() - before)
+        """)
+        assert growth < 8.0
 
     def test_restarted_converges(self):
         A = _dense_spd(40, 8)
@@ -212,6 +255,109 @@ class TestGmres:
                    callback=lambda rk: count.__setitem__(0, count[0] + 1),
                    callback_type="pr_norm")
         assert abs(rep.iterations - count[0]) <= 2
+
+
+class _NanWorkspace:
+    """numpy as `pslr.krylov` sees it, except that `empty` fills with NaN, so
+    a read of a workspace entry that was never written shows in the results."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def empty(self, shape, dtype=float, order="C"):
+        self.calls += 1
+        return np.full(shape, np.nan, dtype=dtype, order=order)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+def _rank10_operator(seed=0):
+    """A 40 x 40 symmetric operator of rank 10: its Krylov space has dimension 11."""
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((40, 40)))
+    M = (Q[:, :10] * np.arange(1.0, 11.0)) @ Q[:, :10].T
+    return lambda v: M @ v
+
+
+class TestWorkspace:
+    """Uninitialized workspaces: every entry read was written first."""
+
+    @staticmethod
+    def _clean_and_nan_filled(monkeypatch, run):
+        clean = run()
+        nan_np = _NanWorkspace()
+        with monkeypatch.context() as m:
+            m.setattr(krylov, "np", nan_np)
+            filled = run()
+        assert nan_np.calls > 0   # the workspaces did come from `empty`
+        return clean, filled
+
+    @staticmethod
+    def _assert_same(clean, filled):
+        for a, b in zip(clean, filled):
+            a, b = np.asarray(a), np.asarray(b)
+            assert np.all(np.isfinite(b))
+            np.testing.assert_array_equal(b, a)
+
+    @pytest.mark.parametrize("restart", [0, 5])
+    def test_gmres(self, monkeypatch, restart):
+        # restart=5 puts several cycle boundaries inside the run
+        A = _dense_spd(40, 8)
+
+        def run():
+            x, rep = gmres(lambda v: A @ v, None, np.ones(40), restart=restart)
+            assert rep.converged and rep.iterations > 5
+            return x, rep.history
+
+        self._assert_same(*self._clean_and_nan_filled(monkeypatch, run))
+
+    def test_gmres_breakdown(self, monkeypatch):
+        # the Krylov space is exhausted after 3 of 50 steps
+        A = np.diag([1.0, 2.0, 3.0] * 4)
+
+        def run():
+            x, rep = gmres(lambda v: A @ v, None, np.arange(1.0, 13.0), tol=1e-20, maxit=50)
+            assert rep.iterations == 3
+            return x, rep.history
+
+        self._assert_same(*self._clean_and_nan_filled(monkeypatch, run))
+
+    @pytest.mark.parametrize("op,rank", [(_rank10_operator(), 20), (lambda v: np.cumsum(v), 12)])
+    def test_arnoldi(self, monkeypatch, op, rank):
+        # the rank-10 operator breaks down at step 11 of 20; the running sum
+        # runs all 12 steps
+        def run():
+            V, H, r = arnoldi(op, 40, rank, seed=0)
+            assert r == (11 if rank == 20 else 12)
+            return V, H
+
+        self._assert_same(*self._clean_and_nan_filled(monkeypatch, run))
+
+    def test_arnoldi_steps_basis_and_columns(self, monkeypatch):
+        # every yielded column h and the basis read so far, step by step
+        def run():
+            return [(V[:, :j + 1].copy(), h, hnext)
+                    for V, j, h, hnext, _ in arnoldi_steps(_rank10_operator(1), np.ones(40), 20)]
+
+        clean, filled = self._clean_and_nan_filled(monkeypatch, run)
+        assert len(clean) == len(filled) == 11
+        for a, b in zip(clean, filled):
+            self._assert_same(a, b)
+
+
+class TestNonFinite:
+    def test_arnoldi_steps_raises_at_the_first_non_finite_step(self):
+        calls = []
+
+        def op(v):
+            calls.append(1)
+            return np.full_like(v, np.inf) if len(calls) == 3 else np.cumsum(v)
+
+        steps = arnoldi_steps(op, np.ones(10), 6)
+        with np.errstate(invalid="ignore"), pytest.raises(ArithmeticError, match="Arnoldi"):
+            for _ in steps:
+                pass
+        assert len(calls) == 3
 
 
 class TestCg:

@@ -108,6 +108,10 @@ class TestArnoldi:
         V, H, r = arnoldi(lambda v: M @ v, 40, 20, seed=0)
         assert r == 11 and V.shape == (40, 11) and H.shape == (11, 11)
 
+    def test_non_finite_operator_raises(self):
+        with np.errstate(invalid="ignore"), pytest.raises(ArithmeticError, match="Arnoldi"):
+            arnoldi(lambda v: np.full_like(v, np.inf), 10, 3)
+
 
 class TestCorrection:
     def test_woodbury_core(self):
@@ -148,6 +152,12 @@ class TestCorrection:
         H = np.array([[1.0]])
         with pytest.raises(CorrectionSingularError):
             build_correction(V, H)
+
+    def test_non_finite_H_rejected(self):
+        # the singular-pivot test is False for a NaN pivot, so it would pass
+        H = np.array([[0.5, np.nan], [0.1, 0.2]])
+        with pytest.raises(ArithmeticError, match="not finite"):
+            build_correction(np.eye(4)[:, :2], H)
 
     def test_nonsquare_H_rejected(self):
         with pytest.raises(ValueError):
