@@ -17,14 +17,13 @@ of later rows, and L and U are appended row by row to CSR
 `indptr`/`indices`/`data` lists.
 
 The assembled block factors are prepared for solving once, when they are
-built: each triangular factor is handed to SuperLU in natural order with no
-pivoting and no relaxed supernodes, which stores it unchanged as its upper
-factor.  The unit-lower `L` is handed over transposed and swept with
-`trans="T"`: SuperLU's transposed sweep over an upper factor costs less per
-column than its plain sweep over a lower one.  The two SuperLU objects are
-then the only stored copy of a block factor; `L` and `U` are converted back
-to CSR when they are read.  A block solve is two compiled triangular sweeps
-with no per-call conversion.
+built: each triangular factor becomes the upper factor of a SuperLU object
+(see `_prepare`).  The unit-lower `L` is handed over transposed and swept
+with `trans="T"`: SuperLU's transposed sweep over an upper factor costs less
+per column than its plain sweep over a lower one.  The two SuperLU objects
+are then the only stored copy of a block factor; `L` and `U` are converted
+back to CSR when they are read.  A block solve is two compiled triangular
+sweeps with no per-call conversion.
 
 A row whose L and U rows and columns hold only the diagonal is a bare
 pivot: it takes no part in either sweep, and its solution is the
@@ -33,9 +32,9 @@ covers about four times per solve, whatever the row holds, while leaving
 rows out costs one gather and one scatter of the rows that remain.  So
 when at least half of the rows are bare, the SuperLU objects cover only
 the other, coupled rows, and a solve divides the whole right-hand side by
-the diagonal and overwrites the coupled rows with the two sweeps.  Most interface vertices couple only
-across subdomains, outside C0, so C0's factors are mostly bare; B's are
-not, and keep objects over every row.
+the diagonal and overwrites the coupled rows with the two sweeps.  Most
+interface vertices couple only across subdomains, outside C0, so C0's
+factors are mostly bare; B's are not, and keep objects over every row.
 """
 
 from __future__ import annotations
@@ -79,8 +78,8 @@ def ilut(block, droptol: float = 1e-2) -> IluFactor:
     if A.shape[0] != A.shape[1]:
         raise ValueError("block must be square")
     n = A.shape[0]
-    if droptol < 0:
-        raise ValueError("droptol must be >= 0")
+    if not 0 <= droptol < np.inf:
+        raise ValueError(f"droptol must be finite and >= 0, got {droptol}")
     if n == 0:
         empty = sp.csr_matrix((0, 0))
         return IluFactor(L=empty, U=empty.copy(), n=0, pivot_repairs=0)
@@ -163,15 +162,10 @@ class BlockILU:
     The factors are held once, assembled block-diagonally so that one pair
     of triangular solves applies every per-block solve at once: `upper`
     holds `U` and `lower` holds the unit-lower `L` transposed, each as the
-    upper factor of a SuperLU object beside an identity lower one.  `lower`
-    is solved with `trans="T"`, SuperLU's cheaper sweep.
-
-    When at least half of the rows are bare pivots (their L and U rows and
-    columns hold only the diagonal), the objects cover only the `coupled`
-    rows, in increasing order, and `diag` holds U's whole diagonal: SuperLU
-    visits a covered row about four times per solve, a bare row then costs
-    one division, and the split adds one gather and one scatter.  Otherwise
-    `coupled` and `diag` are None and the objects cover every row.  The
+    upper factor of a SuperLU object.  When the factors are split into bare
+    and coupled rows (see the module docstring), the objects cover only the
+    `coupled` rows, in increasing order, and `diag` holds U's whole
+    diagonal; otherwise both are None and the objects cover every row.  The
     objects are None when they would cover no row.
 
     The read-only `L` and `U` convert the factors back to CSR on each read;
@@ -214,12 +208,10 @@ def _prepare(T: sp.csc_matrix) -> SuperLU:
     Natural ordering and a zero pivot threshold keep every diagonal pivot,
     so SuperLU's factors are an identity and `T` itself, and solving with
     the object is a triangular sweep with `T`, or with its transpose under
-    `trans="T"`.  A lower factor is prepared as its transpose and swept
-    that way: SuperLU's transposed sweep over an upper factor costs less per
-    column than its plain sweep over a lower one.  `relax=1` turns off
-    relaxed supernodes: they amalgamate small subtrees into dense blocks to
-    speed up a factorization, but `T` is already factored, so they would
-    only make every sweep run dense kernels over the zeros they add.
+    `trans="T"`.  `relax=1` turns off relaxed supernodes: they amalgamate
+    small subtrees into dense blocks to speed up a factorization, but `T` is
+    already factored, so they would only make every sweep run dense kernels
+    over the zeros they add.
 
     SuperLU sizes its work arrays from a fill estimate, about 20 times the
     entries of `T`, and keeps them; the pages it never writes cost no RSS,
@@ -249,24 +241,9 @@ def _prepare(T: sp.csc_matrix) -> SuperLU:
         os.close(r)
 
 
-def _coupled_part(T: sp.csc_matrix, coupled: np.ndarray) -> sp.csc_matrix:
-    """`T` restricted to the `coupled` rows and columns, in CSC.
-
-    A bare row stores nothing off the diagonal, so the coupled columns hold
-    entries in coupled rows only, and renumbering those rows is enough.
-    """
-    pos = np.empty(T.shape[0], dtype=T.indices.dtype)
-    pos[coupled] = np.arange(coupled.size)
-    C = T[:, coupled]
-    return sp.csc_matrix((C.data, pos[C.indices], C.indptr), shape=(coupled.size,) * 2)
-
-
 def factor_blocks(A, block_sizes, droptol: float = 1e-2) -> BlockILU:
-    """ILUT each diagonal block of A, with blocks given by `block_sizes`.
-
-    When at least half of the rows are bare pivots, the SuperLU objects are
-    prepared over the coupled rows only (see `BlockILU`).
-    """
+    """ILUT each diagonal block of A, with blocks given by `block_sizes`;
+    the entries outside the blocks are never read."""
     A = canonical(A)
     sizes = np.asarray(block_sizes, dtype=np.int64)
     if sizes.sum() != A.shape[0] or A.shape[0] != A.shape[1]:
@@ -291,7 +268,7 @@ def factor_blocks(A, block_sizes, droptol: float = 1e-2) -> BlockILU:
     if 2 * np.count_nonzero(bare) >= n:
         coupled = np.flatnonzero(~bare)
         diag = U.diagonal()
-        Lt, U = _coupled_part(Lt, coupled), _coupled_part(U, coupled)
+        Lt, U = Lt[coupled][:, coupled], U[coupled][:, coupled]
     lower = upper = None
     if Lt.shape[0]:
         lower, upper = _prepare(Lt), _prepare(U)
@@ -301,13 +278,8 @@ def factor_blocks(A, block_sizes, droptol: float = 1e-2) -> BlockILU:
 
 
 def block_solve(filu: BlockILU, rhs) -> np.ndarray:
-    """Solve L U y = rhs, block by block (one assembled triangular pair).
-
-    The factors were prepared when `filu` was built, so this is two compiled
-    triangular sweeps: L, as the transposed sweep of `lower`, then U.  With
-    split factors, the whole right-hand side is divided by U's diagonal,
-    which solves the bare rows, and the sweeps overwrite the coupled rows.
-    """
+    """Solve L U y = rhs, block by block: the sweeps with `lower` and `upper`,
+    after dividing by U's diagonal when the factors are split."""
     rhs = np.asarray(rhs, dtype=np.float64)
     if rhs.shape[0] != filu.n:
         raise ValueError(f"rhs has length {rhs.shape[0]}, factors are {filu.n}-dimensional")

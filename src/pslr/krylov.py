@@ -45,6 +45,16 @@ def _identity(v):
     return v
 
 
+def _check_settings(tol, maxit, restart=0):
+    """Reject a NaN or negative `tol`, a negative `maxit` or `restart`."""
+    if not tol >= 0:
+        raise ValueError(f"tol must be >= 0, got {tol}")
+    if maxit < 0:
+        raise ValueError(f"maxit must be >= 0, got {maxit}")
+    if restart < 0:
+        raise ValueError(f"restart must be >= 0, got {restart}")
+
+
 def _unit_scaled(b):
     """(b * 2**-e, e), with e chosen so that max|b * 2**-e| is in [1/2, 1)."""
     b = np.asarray(b, dtype=np.float64)
@@ -106,6 +116,7 @@ def gmres(apply_A, apply_M, b, tol: float = 1e-8, maxit: int = 500, restart: int
 
     `restart=0` means full GMRES.  Returns (x, SolveReport).
     """
+    _check_settings(tol, maxit, restart)
     if apply_M is None:
         apply_M = _identity
     t0 = time.perf_counter()
@@ -121,7 +132,7 @@ def gmres(apply_A, apply_M, b, tol: float = 1e-8, maxit: int = 500, restart: int
     total = 0
     breakdown = False
     while total < maxit and relres > tol and not breakdown:
-        cycle = maxit - total if restart <= 0 else min(restart, maxit - total)
+        cycle = maxit - total if restart == 0 else min(restart, maxit - total)
         R = np.empty((cycle, cycle))   # rotated Hessenberg columns, upper triangle only
         rotations = []                 # (c, s) of each Givens rotation
         g = [beta]                     # the rotated least-squares right-hand side
@@ -155,6 +166,7 @@ def gmres(apply_A, apply_M, b, tol: float = 1e-8, maxit: int = 500, restart: int
 
 def cg(apply_A, apply_M, b, tol: float = 1e-8, maxit: int = 500):
     """Preconditioned conjugate gradient for SPD systems; zero initial guess."""
+    _check_settings(tol, maxit)
     if apply_M is None:
         apply_M = _identity
     t0 = time.perf_counter()

@@ -2,8 +2,8 @@
 
 Construction: partition and reorder, ILUT every B_i and C_i diagonal block,
 run Arnoldi on the series residual operator, form the correction core.
-`recorrected` redoes only the last two steps for another series degree or
-rank, on the same partition and factors.
+`build` does the first two; `recorrected` does the last two, for the build's
+series degree and rank or for any other, on the same partition and factors.
 Application (all in reordered space, split b into interior f / interface g):
 
     y <- g - F B^{-1} f
@@ -18,6 +18,7 @@ S_app^{-1} = [series] (I + V G V^T).
 from __future__ import annotations
 
 import time
+from collections import namedtuple
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -36,6 +37,9 @@ class PslrConfig:
     droptol: float = 1e-2
     seed: int = 0
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self):
         if self.num_subdomains < 1:
             raise ValueError("num_subdomains must be >= 1")
@@ -43,8 +47,8 @@ class PslrConfig:
             raise ValueError("series_degree must be >= 0")
         if self.rank < 0:
             raise ValueError("rank must be >= 0")
-        if self.droptol < 0:
-            raise ValueError("droptol must be >= 0")
+        if not 0 <= self.droptol < np.inf:
+            raise ValueError(f"droptol must be finite and >= 0, got {self.droptol}")
 
 
 @dataclass
@@ -71,6 +75,10 @@ class FillStats:
         return (self.nnz_ilu + self.nnz_lowrank) / self.nnz_matrix
 
 
+# wall seconds of each build stage; a derived preconditioner counts those it reuses again
+StageSeconds = namedtuple("StageSeconds", "order factor arnoldi core", defaults=(0.0, 0.0))
+
+
 class PslrPreconditioner:
     """Everything the application algorithm needs, immutable once built.
 
@@ -78,12 +86,19 @@ class PslrPreconditioner:
     """
 
     def __init__(self, ctx: SchurContext, config: PslrConfig, correction: LowRankCorrection,
-                 stats: FillStats, stage_s: tuple):
+                 stage_s: StageSeconds):
         self.ctx = ctx
         self.config = config
         self.correction = correction
-        self.stats = stats
-        self._stage_s = stage_s   # (ILU, Arnoldi) seconds, counted again by derived ones
+        self.stage_s = stage_s
+        self.stats = FillStats(
+            nnz_ilu=ctx.b_ilu.nnz + ctx.c0_ilu.nnz,
+            nnz_lowrank=correction.nnz,
+            nnz_matrix=ctx.system.matrix.nnz,   # the entries of canonical(A), reordered
+            pivot_repairs=ctx.b_ilu.pivot_repairs + ctx.c0_ilu.pivot_repairs,
+            order_time_s=stage_s.order,
+            build_time_s=stage_s.factor + stage_s.arnoldi + stage_s.core,
+        )
 
     @property
     def system(self) -> PartitionedSystem:
@@ -98,15 +113,13 @@ class PslrPreconditioner:
         this partition, these ILU factors and this seed.
 
         At an unchanged series degree, a rank up to this one's reuses the
-        leading columns of its Arnoldi basis, and so does any rank once that
-        Arnoldi stopped short of its request (breakdown, or the interface
-        dimension), because a rerun would stop at the same step. Anything
-        else runs Arnoldi afresh.
+        leading columns of its Arnoldi basis, as does any rank once that
+        Arnoldi stopped short (breakdown, or the interface dimension), since
+        a rerun would stop at the same step. Anything else runs Arnoldi afresh.
         """
         old, base = self.correction, self.config
         cfg = replace(base, series_degree=series_degree, rank=rank)
-        cfg.validate()
-        factor_s, arnoldi_s = self._stage_s
+        stage_s = self.stage_s
         if series_degree == base.series_degree and (rank <= base.rank or old.rank < base.rank):
             k = min(rank, old.rank)
             V, H = old.V[:, :k], old.H[:k, :k]
@@ -114,8 +127,11 @@ class PslrPreconditioner:
             t0 = time.perf_counter()
             V, H, _ = arnoldi(lambda v: apply_Err(self.ctx, series_degree, v),
                               self.system.q, rank, seed=cfg.seed)
-            arnoldi_s = time.perf_counter() - t0
-        return _assemble(self.ctx, cfg, V, H, self.stats.order_time_s, factor_s, arnoldi_s)
+            stage_s = stage_s._replace(arnoldi=time.perf_counter() - t0)
+        t0 = time.perf_counter()
+        correction = build_correction(V, H)
+        return PslrPreconditioner(self.ctx, cfg, correction,
+                                  stage_s._replace(core=time.perf_counter() - t0))
 
     def apply(self, b) -> np.ndarray:
         """z = PSLR(b) in reordered space."""
@@ -141,8 +157,8 @@ class PslrPreconditioner:
 
 
 def build(A, cfg: PslrConfig) -> PslrPreconditioner:
-    """Construct the preconditioner for a square sparse matrix of finite values."""
-    cfg.validate()
+    """Construct the preconditioner for a square sparse matrix of finite values:
+    order and factor A, then correct the series-only one with `recorrected`."""
     A = canonical(A)
     if A.shape[0] != A.shape[1]:
         raise ValueError("matrix must be square")
@@ -153,28 +169,11 @@ def build(A, cfg: PslrConfig) -> PslrPreconditioner:
         raise ValueError(f"matrix has {nonfinite} non-finite entries (nan or inf)")
 
     t0 = time.perf_counter()
-    spec = partition_graph(A, cfg.num_subdomains)
-    system = classify_and_reorder(A, spec)
+    system = classify_and_reorder(A, partition_graph(A, cfg.num_subdomains))
     t1 = time.perf_counter()
     ctx = build_schur_context(system, droptol=cfg.droptol)
-    t2 = time.perf_counter()
-    V, H, _ = arnoldi(lambda v: apply_Err(ctx, cfg.series_degree, v),
-                      system.q, cfg.rank, seed=cfg.seed)
-    t3 = time.perf_counter()
-    return _assemble(ctx, cfg, V, H, t1 - t0, t2 - t1, t3 - t2)
-
-
-def _assemble(ctx, cfg, V, H, order_s, factor_s, arnoldi_s) -> PslrPreconditioner:
-    """Correction core from an Arnoldi basis, then the fill and time accounting."""
-    t0 = time.perf_counter()
-    correction = build_correction(V, H)
-    build_s = factor_s + arnoldi_s + time.perf_counter() - t0
-    stats = FillStats(
-        nnz_ilu=ctx.b_ilu.nnz + ctx.c0_ilu.nnz,
-        nnz_lowrank=correction.nnz,
-        nnz_matrix=ctx.system.matrix.nnz,   # the entries of canonical(A), reordered
-        pivot_repairs=ctx.b_ilu.pivot_repairs + ctx.c0_ilu.pivot_repairs,
-        order_time_s=order_s,
-        build_time_s=build_s,
-    )
-    return PslrPreconditioner(ctx, cfg, correction, stats, stage_s=(factor_s, arnoldi_s))
+    stage_s = StageSeconds(t1 - t0, time.perf_counter() - t1)
+    uncorrected = LowRankCorrection(V=np.zeros((system.q, 0)), H=np.zeros((0, 0)),
+                                    G=np.zeros((0, 0)), rank=0)
+    series_only = PslrPreconditioner(ctx, replace(cfg, rank=0), uncorrected, stage_s)
+    return series_only.recorrected(cfg.series_degree, cfg.rank)

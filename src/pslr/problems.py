@@ -101,6 +101,8 @@ def parse_problem(text: str):
         raise ValueError(f"malformed problem string '{text}'") from None
     if not np.all(np.isfinite(values)):
         raise ValueError(f"problem string '{text}' has a non-finite value")
+    if any(v != int(v) for v in values[:3]):
+        raise ValueError(f"problem string '{text}' has a non-integer grid extent")
     if kind == "lap3d":
         if len(values) != 4:
             raise ValueError("lap3d expects nx,ny,nz,shift")

@@ -29,8 +29,7 @@ class SchurContext:
 
     system: PartitionedSystem
     b_ilu: BlockILU
-    c0_ilu: BlockILU
-    C0: sp.csr_matrix   # diagonal blocks of C
+    c0_ilu: BlockILU    # factors of C0, the diagonal blocks of C
     Cg: sp.csr_matrix   # C - C0, the cross-subdomain interface couplings
 
     @property
@@ -38,26 +37,23 @@ class SchurContext:
         return self.system.q
 
 
-def _split_blocks(C, sizes) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """(C0, Cg): the entries of C inside and outside the diagonal blocks of the
-    given sizes.  Cg keeps no stored zeros, as C - C0 would not."""
+def _off_blocks(C, sizes) -> sp.csr_matrix:
+    """The entries of C outside its diagonal blocks of the given sizes, with
+    no stored zeros, as C - C0 would keep none."""
     C = canonical(C)
-    n = C.shape[0]
     block_of = np.repeat(np.arange(len(sizes)), sizes)
-    rows = np.repeat(np.arange(n), np.diff(C.indptr))
-    keep = block_of[rows] == block_of[C.indices]
-    C0, Cg = (canonical(sp.csr_matrix((C.data[k], (rows[k], C.indices[k])), shape=C.shape))
-              for k in (keep, ~keep))
-    Cg.eliminate_zeros()
-    return C0, Cg
+    rows = np.repeat(np.arange(C.shape[0]), np.diff(C.indptr))
+    off = (block_of[rows] != block_of[C.indices]) & (C.data != 0)
+    return canonical(sp.csr_matrix((C.data[off], (rows[off], C.indices[off])), shape=C.shape))
 
 
 def build_schur_context(ps: PartitionedSystem, droptol: float = 1e-2) -> SchurContext:
-    """Factor the B_i and C_i diagonal blocks and assemble the context."""
-    b_ilu = factor_blocks(ps.B, ps.interior_sizes, droptol=droptol)
-    C0, Cg = _split_blocks(ps.C, ps.interface_sizes)
-    c0_ilu = factor_blocks(C0, ps.interface_sizes, droptol=droptol)
-    return SchurContext(system=ps, b_ilu=b_ilu, c0_ilu=c0_ilu, C0=C0, Cg=Cg)
+    """Factor the B_i and C_i diagonal blocks and assemble the context; C0
+    is never formed, as `factor_blocks` reads only C's diagonal blocks."""
+    return SchurContext(system=ps,
+                        b_ilu=factor_blocks(ps.B, ps.interior_sizes, droptol=droptol),
+                        c0_ilu=factor_blocks(ps.C, ps.interface_sizes, droptol=droptol),
+                        Cg=_off_blocks(ps.C, ps.interface_sizes))
 
 
 def _check_len(ctx, v) -> np.ndarray:

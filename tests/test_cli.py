@@ -232,6 +232,28 @@ class TestSolve:
             "threads": 0, "out": str(tmp_path / "stats.json"), "partition_out": None,
             "axis": None, "values": [], "target": None}
 
+    @pytest.mark.parametrize("env, args", [
+        ({}, ["--droptol", "nan"]),
+        ({"PSLR_DROPTOL": "inf"}, []),
+        ({}, ["--tol", "nan"]),
+        ({}, ["--tol", "-1"]),
+        ({}, ["--maxit", "-1"]),
+        ({}, ["--restart", "-2"]),
+        ({}, ["--krylov", "cg", "--maxit", "-1"]),
+    ], ids=["droptol-nan", "env-droptol-inf", "tol-nan", "tol-negative", "maxit-negative",
+            "restart-negative", "cg-maxit-negative"])
+    def test_bad_setting_is_an_error(self, monkeypatch, capsys, env, args):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        assert main(["solve", "--problem", PROBLEM, "--s", "4", *args]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+
+    def test_non_integer_extent_is_an_error(self, capsys):
+        assert main(["solve", "--problem", "lap3d:2.7,3,3,0", "--s", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "integer" in err
+
     @pytest.mark.parametrize("env, args", [({}, ["--s", "abc"]),
                                            ({"PSLR_S": "abc"}, []),
                                            ({"PSLR_KRYLOV": "bogus"}, [])],
@@ -354,7 +376,7 @@ class TestSweep:
         calls, ranks = self._count_stages(monkeypatch)
         self._sweep(tmp_path, "--axis", "m", "--values", "0,1,2")
         assert calls == {"partition_graph": 1, "build_schur_context": 1}
-        assert ranks == [0, 6, 6, 6]   # the rank-0 build, then one run per m
+        assert ranks == [6, 6, 6]   # one run per m; the rank-0 build runs none
 
     def test_rank_sweep_runs_arnoldi_once(self, tmp_path, monkeypatch):
         calls, ranks = self._count_stages(monkeypatch)

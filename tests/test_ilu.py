@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from pslr.ilu import IluFactor, _prepare, block_solve, factor_blocks, ilut
 from pslr.problems import parse_problem
-from pslr.schur import _split_blocks
 from pslr.sparse import canonical
 
 from conftest import lap1d, partitioned, random_sparse, sparse_matrices
@@ -267,6 +266,11 @@ class TestIlut:
         with pytest.raises(ValueError):
             ilut(sp.identity(2, format="csr"), droptol=-1.0)
 
+    @pytest.mark.parametrize("droptol", [np.nan, np.inf])
+    def test_non_finite_droptol_rejected(self, droptol):
+        with pytest.raises(ValueError, match="droptol"):
+            ilut(sp.identity(2, format="csr"), droptol=droptol)
+
 
 class TestBlockFactors:
     def test_blocks_factored_independently(self):
@@ -465,8 +469,7 @@ class TestPreparedSolve:
 def _diagonal_blocks(problem, s):
     """Every B_i and C0_i diagonal block of a partitioned problem."""
     ps = partitioned(parse_problem(problem)[1], s)
-    C0 = _split_blocks(ps.C, ps.interface_sizes)[0]
-    for M, sizes in ((ps.B, ps.interior_sizes), (C0, ps.interface_sizes)):
+    for M, sizes in ((ps.B, ps.interior_sizes), (ps.C, ps.interface_sizes)):
         offsets = np.concatenate([[0], np.cumsum(sizes)])
         for lo, hi in zip(offsets[:-1], offsets[1:]):
             yield M[lo:hi, lo:hi]

@@ -345,6 +345,20 @@ class TestWorkspace:
             self._assert_same(a, b)
 
 
+@pytest.mark.parametrize("solver", [gmres, cg])
+@pytest.mark.parametrize("setting", [{"tol": np.nan}, {"tol": -1e-8}, {"maxit": -1}],
+                         ids=["tol-nan", "tol-negative", "maxit-negative"])
+def test_bad_settings_rejected(solver, setting):
+    name = next(iter(setting))
+    with pytest.raises(ValueError, match=name):
+        solver(lambda v: 2.0 * v, None, np.ones(5), **setting)
+
+
+def test_negative_restart_rejected():
+    with pytest.raises(ValueError, match="restart"):
+        gmres(lambda v: 2.0 * v, None, np.ones(5), restart=-2)
+
+
 class TestNonFinite:
     def test_arnoldi_steps_raises_at_the_first_non_finite_step(self):
         calls = []

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -21,10 +23,14 @@ class TestConfig:
         {"series_degree": -1},
         {"rank": -2},
         {"droptol": -0.1},
+        {"droptol": np.nan},
+        {"droptol": np.inf},
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
-            PslrConfig(**kwargs).validate()
+            PslrConfig(**kwargs)
+        with pytest.raises(ValueError):   # replace re-validates
+            replace(PslrConfig(), **kwargs)
 
 
 class TestApply:
@@ -204,6 +210,23 @@ class TestRecorrected:
         derived = P.recorrected(4, 3)
         assert derived.system is P.system and derived.ctx is P.ctx
         assert derived.stats.order_time_s == P.stats.order_time_s
+
+    def test_stage_seconds(self):
+        P = build(self.A, self.CFG)
+        st = P.stage_s
+        assert min(st) >= 0.0 and st.arnoldi > 0.0
+        assert P.stats.build_time_s == st.factor + st.arnoldi + st.core
+        reused = P.recorrected(self.CFG.series_degree, 3)   # leading columns: no Arnoldi
+        assert reused.stage_s[:3] == st[:3]
+        fresh = P.recorrected(self.CFG.series_degree + 1, 3)
+        assert fresh.stage_s[:2] == st[:2]
+
+    def test_rank_zero_runs_no_arnoldi(self, monkeypatch):
+        import pslr.preconditioner as pre
+        monkeypatch.setattr(pre, "arnoldi", None)   # any Arnoldi run would fail
+        P = build(self.A, replace(self.CFG, rank=0))
+        assert P.correction.rank == 0 and P.correction.V.shape == (P.system.q, 0)
+        assert P.stage_s.arnoldi == 0.0
 
     def test_build_time_counts_shared_factors(self, monkeypatch):
         import time

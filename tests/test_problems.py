@@ -124,7 +124,13 @@ class TestParseProblem:
         "lap3d:a,b,c,d",        # non-numeric
         "lap3d:4,4,4,nan",      # non-finite shift
         "convdiff3d:3,3,3,0,inf,0,0",   # non-finite convection
+        "lap3d:2.7,3,3,0",      # non-integer extent
+        "convdiff3d:3,3,3.5,0,1,1,1",
     ])
     def test_malformed(self, text):
         with pytest.raises(ValueError):
             parse_problem(text)
+
+    def test_integral_float_extent(self):
+        spec, A = parse_problem("lap3d:2.0,3,3,0")
+        assert (spec.nx, A.shape[0]) == (2, 18)

@@ -3,8 +3,10 @@ import pytest
 import scipy.sparse as sp
 
 from pslr.diagnostics import dense_schur
+from pslr.ilu import factor_blocks
+from pslr.problems import parse_problem
 from pslr.schur import (
-    _split_blocks,
+    _off_blocks,
     apply_Err,
     apply_Es,
     apply_S,
@@ -16,6 +18,13 @@ from pslr.schur import (
 from pslr.sparse import canonical
 
 from conftest import lap1d, partitioned, random_sparse
+
+
+def block_diagonal(C, sizes):
+    """C's diagonal blocks of the given sizes, sliced out with their stored zeros."""
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    return canonical(sp.block_diag([C[lo:hi, lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:])],
+                                   format="csr"))
 
 
 @pytest.fixture(scope="module", params=["lap1d", "lap3d", "random"])
@@ -61,7 +70,7 @@ class TestOperatorsAgainstDenseOracle:
         # S v + Es v must equal C0 v by construction of the splitting
         ctx, oracle, v = exact_case
         lhs = apply_S(ctx, v) + apply_Es(ctx, v)
-        rhs = ctx.C0 @ v
+        rhs = block_diagonal(ctx.system.C, ctx.system.interface_sizes) @ v
         assert np.linalg.norm(lhs - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
     @pytest.mark.parametrize("m", [0, 1, 3])
@@ -94,15 +103,33 @@ class TestContextStructure:
         C = ps.C.toarray()
         block_of = np.repeat(np.arange(ps.num_parts), ps.interface_sizes)
         mask = block_of[:, None] == block_of[None, :]
-        np.testing.assert_array_equal(ctx.C0.toarray(), np.where(mask, C, 0.0))
-        np.testing.assert_array_equal((ctx.C0 + ctx.Cg).toarray(), C)
+        np.testing.assert_array_equal(C - ctx.Cg.toarray(), np.where(mask, C, 0.0))
+
+    @pytest.mark.parametrize("problem,s,droptol", [
+        ("lap3d:8,8,8,0.3", 6, 1e-2),
+        ("lap3d:8,8,8,0.3", 6, 0.0),
+        ("convdiff3d:8,8,8,0.5,20,-10,5", 5, 1e-3),
+    ])
+    def test_C0_factors_are_those_of_the_block_diagonal_part(self, problem, s, droptol):
+        # factor_blocks reads only C's diagonal blocks, so factoring C itself
+        # gives C0's factors bit for bit
+        ps = partitioned(parse_problem(problem)[1], s)
+        got = build_schur_context(ps, droptol=droptol).c0_ilu
+        want = factor_blocks(block_diagonal(ps.C, ps.interface_sizes), ps.interface_sizes,
+                             droptol=droptol)
+        assert (got.nnz, got.pivot_repairs) == (want.nnz, want.pivot_repairs)
+        for name in ("L", "U"):
+            a, b = getattr(got, name), getattr(want, name)
+            for attr in ("indptr", "indices", "data"):
+                np.testing.assert_array_equal(getattr(a, attr), getattr(b, attr))
 
     def test_split_keeps_no_stored_zero_off_the_blocks(self):
         # stored zeros at (0, 2) and (2, 0) lie off the two 2x2 blocks; C - C0
         # drops them, and so must Cg
         C = sp.csr_matrix(([1.0, 0.0, 2.0, 0.0, 3.0, 4.0],
                            ([0, 0, 1, 2, 2, 3], [1, 2, 3, 0, 2, 3])), shape=(4, 4))
-        C0, Cg = _split_blocks(C, [2, 2])
+        Cg = _off_blocks(C, [2, 2])
+        C0 = block_diagonal(C, [2, 2])
         want = canonical(C - C0)
         for name in ("indptr", "indices", "data"):
             np.testing.assert_array_equal(getattr(Cg, name), getattr(want, name))
