@@ -67,6 +67,9 @@ class RunManifest:
 class _Parser(argparse.ArgumentParser):
     """Usage errors, bad PSLR_ values included, exit 1 with one `error:` line, not 2."""
 
+    def __init__(self, **kwargs):   # full flags only: the launcher reads --threads as spelled
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):
         self.exit(1, f"error: {message}\n")
 
@@ -85,6 +88,14 @@ class _Parser(argparse.ArgumentParser):
         self.add_argument("--" + name, type=type, default=default, **kwargs)
 
 
+def nonnegative_int(text) -> int:
+    """int(text), rejected below 0; argparse names the type in its message."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"{value} < 0")
+    return value
+
+
 def _add_run_flags(p: _Parser):
     """The input, build, --threads and --out flags every subcommand reads."""
     p.flag("matrix", help="Matrix Market file")
@@ -94,8 +105,8 @@ def _add_run_flags(p: _Parser):
     p.flag("rank", int, help="low-rank correction rank")
     p.flag("droptol", float)
     p.flag("seed", int)
-    p.flag("threads", int, help="BLAS threads (0 = hardware default); takes effect through "
-                                "`pslr` or `python -m pslr`, which export it before numpy loads")
+    p.flag("threads", nonnegative_int, help="BLAS threads (0 = hardware default); applied by "
+                                            "`pslr` and `python -m pslr`, before numpy loads")
     p.flag("out", help="output path (JSON for solve, CSV for sweep/spectrum)")
 
 

@@ -73,13 +73,10 @@ def dense_schur(ps: PartitionedSystem) -> DenseOracle:
     E = ps.E.toarray()
     F = ps.F.toarray()
     C = ps.C.toarray()
-    if B.shape[0]:
-        try:
-            S = C - F @ np.linalg.solve(B, E)
-        except np.linalg.LinAlgError as exc:
-            raise np.linalg.LinAlgError("interior block B is singular") from exc
-    else:
-        S = C.copy()
+    try:
+        S = C - F @ np.linalg.solve(B, E)
+    except np.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError("interior block B is singular") from exc
 
     q = ps.q
     C0 = np.zeros((q, q))
@@ -88,7 +85,7 @@ def dense_schur(ps: PartitionedSystem) -> DenseOracle:
         C0[off:off + size, off:off + size] = C[off:off + size, off:off + size]
         off += size
     Es = C0 - S
-    C0inv = np.linalg.inv(C0) if q else np.zeros((0, 0))
+    C0inv = np.linalg.inv(C0)
     return DenseOracle(B=B, E=E, F=F, C=C, S=S, C0=C0, Es=Es, Cg=C - C0, C0inv=C0inv)
 
 
@@ -102,10 +99,9 @@ def spectrum(M) -> SpectrumReport:
     eigs = np.linalg.eigvals(M)
     order = np.argsort(-np.abs(eigs), kind="stable")
     eigs = eigs[order]
-    radius = float(np.abs(eigs[0])) if eigs.size else 0.0
     return SpectrumReport(
         eigenvalues=eigs,
-        spectral_radius=radius,
+        spectral_radius=float(np.max(np.abs(eigs), initial=0.0)),
         num_modulus_gt_one=int(np.count_nonzero(np.abs(eigs) > 1.0)),
         num_negative_real=int(np.count_nonzero(eigs.real < 0.0)),
     )

@@ -80,9 +80,6 @@ def ilut(block, droptol: float = 1e-2) -> IluFactor:
     n = A.shape[0]
     if not 0 <= droptol < np.inf:
         raise ValueError(f"droptol must be finite and >= 0, got {droptol}")
-    if n == 0:
-        empty = sp.csr_matrix((0, 0))
-        return IluFactor(L=empty, U=empty.copy(), n=0, pivot_repairs=0)
 
     row_norms = np.sqrt(np.asarray(A.multiply(A).sum(axis=1)).ravel()).tolist()
     a_ptr, a_idx, a_val = A.indptr.tolist(), A.indices.tolist(), A.data.tolist()
@@ -166,7 +163,8 @@ class BlockILU:
     and coupled rows (see the module docstring), the objects cover only the
     `coupled` rows, in increasing order, and `diag` holds U's whole
     diagonal; otherwise both are None and the objects cover every row.  The
-    objects are None when they would cover no row.
+    objects are None when they would cover no row.  An empty system is
+    split, with no coupled rows.
 
     The read-only `L` and `U` convert the factors back to CSR on each read;
     SuperLU does not store the exact zeros ILUT may keep, so those are
@@ -193,7 +191,7 @@ class BlockILU:
     def _read(self, T, diag) -> sp.csr_matrix:
         """The n x n CSR factor: `T` on the covered rows, `diag` on the bare ones."""
         if self.coupled is None:
-            return canonical(T if T is not None else (self.n, self.n))
+            return canonical(T)
         bare = np.setdiff1d(np.arange(self.n), self.coupled)
         T = sp.coo_matrix(T if T is not None else (0, 0))
         rows = np.concatenate([bare, self.coupled[T.row]])
@@ -249,8 +247,9 @@ def factor_blocks(A, block_sizes, droptol: float = 1e-2) -> BlockILU:
     if sizes.sum() != A.shape[0] or A.shape[0] != A.shape[1]:
         raise ValueError("block sizes do not tile the matrix")
     n = A.shape[0]
-    if n == 0:
-        return BlockILU(n=0, nnz=0, pivot_repairs=0, lower=None, upper=None)
+    if n == 0:   # sp.block_diag raises on an empty list of blocks
+        return BlockILU(n=0, nnz=0, pivot_repairs=0, lower=None, upper=None,
+                        coupled=np.empty(0, np.int64), diag=np.empty(0))
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     factors = []
     for b in range(sizes.size):
@@ -283,8 +282,6 @@ def block_solve(filu: BlockILU, rhs) -> np.ndarray:
     rhs = np.asarray(rhs, dtype=np.float64)
     if rhs.shape[0] != filu.n:
         raise ValueError(f"rhs has length {rhs.shape[0]}, factors are {filu.n}-dimensional")
-    if filu.n == 0:
-        return rhs.copy()
     if filu.coupled is None:
         return filu.upper.solve(filu.lower.solve(rhs, trans="T"))
     out = rhs / (filu.diag if rhs.ndim == 1 else filu.diag[:, None])

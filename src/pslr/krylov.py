@@ -46,9 +46,9 @@ def _identity(v):
 
 
 def _check_settings(tol, maxit, restart=0):
-    """Reject a NaN or negative `tol`, a negative `maxit` or `restart`."""
-    if not tol >= 0:
-        raise ValueError(f"tol must be >= 0, got {tol}")
+    """Reject a NaN, infinite or negative `tol`, a negative `maxit` or `restart`."""
+    if not 0 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     if maxit < 0:
         raise ValueError(f"maxit must be >= 0, got {maxit}")
     if restart < 0:

@@ -29,7 +29,11 @@ class LowRankCorrection:
     V: np.ndarray       # q x r, orthonormal columns
     H: np.ndarray       # r x r, upper Hessenberg
     G: np.ndarray       # r x r, (I - H)^{-1} - I
-    rank: int           # achieved rank (<= requested)
+
+    @property
+    def rank(self) -> int:
+        """The achieved rank r (<= requested)."""
+        return self.V.shape[1]
 
     @property
     def nnz(self) -> int:
@@ -51,7 +55,7 @@ def arnoldi(op, dim: int, rank: int, seed: int = 0):
     if rank < 0:
         raise ValueError("rank must be >= 0")
     rank = min(rank, dim)
-    if dim == 0 or rank == 0:
+    if rank == 0:   # arnoldi_steps yields nothing at 0 steps
         return np.zeros((dim, 0)), np.zeros((0, 0)), 0
 
     v0 = np.random.default_rng(seed).standard_normal(dim)
@@ -77,26 +81,24 @@ def build_correction(V, H) -> LowRankCorrection:
     if not np.all(np.isfinite(H)):
         raise ArithmeticError("correction not finite: the Arnoldi Hessenberg matrix has "
                               "non-finite entries")
-    if r == 0:
-        return LowRankCorrection(V=V, H=H, G=np.zeros((0, 0)), rank=0)
     M = np.eye(r) - H
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
         lu, piv = scipy.linalg.lu_factor(M, check_finite=False)
     # <= so an exactly zero pivot is caught even when M itself is zero
-    if np.min(np.abs(np.diag(lu))) <= SINGULAR_PIVOT_RTOL * np.linalg.norm(M):
+    if np.min(np.abs(np.diag(lu)), initial=np.inf) <= SINGULAR_PIVOT_RTOL * np.linalg.norm(M):
         raise CorrectionSingularError(
             "correction singular: series residual operator has an eigenvalue ~ 1"
         )
     G = scipy.linalg.lu_solve((lu, piv), np.eye(r), check_finite=False) - np.eye(r)
-    return LowRankCorrection(V=V, H=H, G=G, rank=r)
+    return LowRankCorrection(V=V, H=H, G=G)
 
 
 def apply_correction(lr: LowRankCorrection, y) -> np.ndarray:
     """y + V (G (V^T y)); identity when the correction is empty."""
     y = np.asarray(y, dtype=np.float64)
-    if y.shape[0] != lr.V.shape[0] and lr.rank > 0:
+    if y.shape[0] != lr.V.shape[0]:
         raise ValueError("vector length does not match the correction basis")
-    if lr.rank == 0:
+    if lr.rank == 0:   # a copy, as y + 0 would turn -0.0 into +0.0
         return y.copy()
     return y + lr.V @ (lr.G @ (lr.V.T @ y))

@@ -41,7 +41,6 @@ class PartitionedSystem:
 
     matrix: sp.csr_matrix          # the full reordered matrix
     perm: Permutation              # old index -> new index
-    num_parts: int
     p: int                         # interior dimension
     q: int                         # interface dimension
     interior_sizes: np.ndarray     # per-subdomain interior counts
@@ -55,6 +54,10 @@ class PartitionedSystem:
     @property
     def n(self) -> int:
         return self.p + self.q
+
+    @property
+    def num_parts(self) -> int:
+        return len(self.interior_sizes)
 
 
 def _adjacency(A) -> sp.csr_matrix:
@@ -157,7 +160,6 @@ def classify_and_reorder(A, spec: PartitionSpec) -> PartitionedSystem:
     return PartitionedSystem(
         matrix=reordered,
         perm=perm,
-        num_parts=s,
         p=p,
         q=n - p,
         interior_sizes=interior_sizes,

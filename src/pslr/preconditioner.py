@@ -41,6 +41,10 @@ class PslrConfig:
         self.validate()
 
     def validate(self):
+        for name in ("num_subdomains", "series_degree", "rank", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.num_subdomains < 1:
             raise ValueError("num_subdomains must be >= 1")
         if self.series_degree < 0:
@@ -49,6 +53,8 @@ class PslrConfig:
             raise ValueError("rank must be >= 0")
         if not 0 <= self.droptol < np.inf:
             raise ValueError(f"droptol must be finite and >= 0, got {self.droptol}")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass
@@ -141,7 +147,7 @@ class PslrPreconditioner:
             raise ValueError(f"vector has length {b.shape[0]}, system is {n}-dimensional")
         p = self.system.p
         f, g = b[:p], b[p:]
-        if self.system.q == 0:
+        if self.system.q == 0:   # saves the B solve that F, with no rows, would discard
             return solve_B(self.ctx, f)
         y = g - self.system.F @ solve_B(self.ctx, f)
         y = apply_correction(self.correction, y)
@@ -173,7 +179,6 @@ def build(A, cfg: PslrConfig) -> PslrPreconditioner:
     t1 = time.perf_counter()
     ctx = build_schur_context(system, droptol=cfg.droptol)
     stage_s = StageSeconds(t1 - t0, time.perf_counter() - t1)
-    uncorrected = LowRankCorrection(V=np.zeros((system.q, 0)), H=np.zeros((0, 0)),
-                                    G=np.zeros((0, 0)), rank=0)
+    uncorrected = build_correction(np.zeros((system.q, 0)), np.zeros((0, 0)))
     series_only = PslrPreconditioner(ctx, replace(cfg, rank=0), uncorrected, stage_s)
     return series_only.recorrected(cfg.series_degree, cfg.rank)

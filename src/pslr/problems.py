@@ -88,12 +88,14 @@ def count_negative_eigs_analytic(spec: ProblemSpec) -> int:
     return int(np.count_nonzero(lam < 0.0))
 
 
-def parse_problem(text: str):
-    """Parse a CLI problem string into (ProblemSpec, matrix).
+# the parameters of each problem kind, in the order a problem string lists them;
+# lap3d is convdiff3d at zero convection
+_USAGE = {"lap3d": "nx,ny,nz,shift", "convdiff3d": "nx,ny,nz,shift,gx,gy,gz"}
 
-    Formats: ``lap3d:nx,ny,nz,shift`` and
-    ``convdiff3d:nx,ny,nz,shift,gx,gy,gz``.
-    """
+
+def parse_problem(text: str):
+    """Parse a CLI problem string, ``kind:parameters`` as in _USAGE,
+    into (ProblemSpec, matrix)."""
     try:
         kind, args = text.split(":", 1)
         values = [float(t) for t in args.split(",")]
@@ -103,15 +105,11 @@ def parse_problem(text: str):
         raise ValueError(f"problem string '{text}' has a non-finite value")
     if any(v != int(v) for v in values[:3]):
         raise ValueError(f"problem string '{text}' has a non-integer grid extent")
-    if kind == "lap3d":
-        if len(values) != 4:
-            raise ValueError("lap3d expects nx,ny,nz,shift")
-        spec = ProblemSpec(int(values[0]), int(values[1]), int(values[2]), shift=values[3])
-        return spec, laplacian3d(spec)
-    if kind == "convdiff3d":
-        if len(values) != 7:
-            raise ValueError("convdiff3d expects nx,ny,nz,shift,gx,gy,gz")
-        spec = ProblemSpec(int(values[0]), int(values[1]), int(values[2]),
-                           shift=values[3], convection=tuple(values[4:7]))
-        return spec, convdiff3d(spec)
-    raise ValueError(f"unknown problem kind '{kind}'")
+    if kind not in _USAGE:
+        raise ValueError(f"unknown problem kind '{kind}'")
+    if len(values) != _USAGE[kind].count(",") + 1:
+        raise ValueError(f"{kind} expects {_USAGE[kind]}")
+    nx, ny, nz = (int(v) for v in values[:3])
+    spec = ProblemSpec(nx, ny, nz, shift=values[3],
+                       convection=tuple(values[4:]) or ProblemSpec.convection)
+    return spec, convdiff3d(spec)

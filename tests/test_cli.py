@@ -240,14 +240,24 @@ class TestSolve:
         ({}, ["--maxit", "-1"]),
         ({}, ["--restart", "-2"]),
         ({}, ["--krylov", "cg", "--maxit", "-1"]),
+        ({}, ["--tol", "inf"]),
+        ({"PSLR_TOL": "inf"}, []),
     ], ids=["droptol-nan", "env-droptol-inf", "tol-nan", "tol-negative", "maxit-negative",
-            "restart-negative", "cg-maxit-negative"])
+            "restart-negative", "cg-maxit-negative", "tol-inf", "env-tol-inf"])
     def test_bad_setting_is_an_error(self, monkeypatch, capsys, env, args):
         for name, value in env.items():
             monkeypatch.setenv(name, value)
         assert main(["solve", "--problem", PROBLEM, "--s", "4", *args]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("rank", ["0", "3"])
+    def test_negative_seed_is_an_error(self, capsys, rank):
+        # rejected before the build: at rank > 0, Arnoldi would hand it to numpy first
+        assert main(["solve", "--problem", PROBLEM, "--s", "4", "--rank", rank,
+                     "--seed", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "seed" in err, err
 
     def test_non_integer_extent_is_an_error(self, capsys):
         assert main(["solve", "--problem", "lap3d:2.7,3,3,0", "--s", "2"]) == 1
@@ -256,8 +266,12 @@ class TestSolve:
 
     @pytest.mark.parametrize("env, args", [({}, ["--s", "abc"]),
                                            ({"PSLR_S": "abc"}, []),
-                                           ({"PSLR_KRYLOV": "bogus"}, [])],
-                             ids=["flag", "env-type", "env-choice"])
+                                           ({"PSLR_KRYLOV": "bogus"}, []),
+                                           ({}, ["--thread", "1"]),
+                                           ({}, ["--threads", "-3"]),
+                                           ({"PSLR_THREADS": "-3"}, [])],
+                             ids=["flag", "env-type", "env-choice", "abbreviated-flag",
+                                  "threads-negative", "env-threads-negative"])
     def test_bad_value_is_a_usage_error(self, monkeypatch, capsys, env, args):
         for name, value in env.items():
             monkeypatch.setenv(name, value)

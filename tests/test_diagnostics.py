@@ -10,6 +10,7 @@ from pslr.diagnostics import (
     verify_bound,
 )
 from pslr.lowrank import arnoldi, build_correction
+from pslr.problems import ProblemSpec, laplacian3d
 
 from conftest import lap1d, partitioned, random_sparse
 
@@ -53,6 +54,22 @@ class TestDenseSchur:
             rhs = np.eye(oracle.q) - oracle.err_matrix(m)
             np.testing.assert_allclose(lhs, rhs, atol=1e-11)
 
+    def test_no_interior(self):
+        # 2x2x2 grid in four pairs: every vertex couples to another pair, so p = 0
+        ps = partitioned(laplacian3d(ProblemSpec(2, 2, 2)), 4)
+        assert (ps.p, ps.q) == (0, 8)
+        oracle = dense_schur(ps)
+        C = ps.C.toarray()
+        C0 = np.zeros((8, 8))
+        for lo in range(0, 8, 2):
+            C0[lo:lo + 2, lo:lo + 2] = C[lo:lo + 2, lo:lo + 2]
+        assert oracle.B.shape == (0, 0)
+        np.testing.assert_array_equal(oracle.S, C)
+        np.testing.assert_array_equal(oracle.C0, C0)
+        np.testing.assert_array_equal(oracle.Es, C0 - C)
+        np.testing.assert_array_equal(oracle.Cg, C - C0)
+        np.testing.assert_allclose(oracle.C0inv @ C0, np.eye(8), atol=1e-15)
+
     def test_guard(self):
         A = lap1d(DENSE_GUARD + 1)
         ps = partitioned(A, 2)
@@ -80,6 +97,10 @@ class TestSpectrum:
         rep = spectrum(np.diag([1.0, -3.0, 2.0]))
         np.testing.assert_allclose(np.abs(rep.eigenvalues), [3.0, 2.0, 1.0])
         assert rep.spectral_radius == 3.0
+
+    def test_empty(self):
+        rep = spectrum(np.zeros((0, 0)))
+        assert rep.eigenvalues.size == 0 and rep.spectral_radius == 0.0
 
     def test_counts(self):
         rep = spectrum(np.diag([0.5, -0.2, -4.0, 1.5]))

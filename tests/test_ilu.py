@@ -314,6 +314,15 @@ class TestBlockFactors:
         out = block_solve(bf, rhs)
         assert out.size == 0 and out is not rhs
 
+    @pytest.mark.parametrize("sizes", [[], [0], [0, 0]])
+    @pytest.mark.parametrize("shape", [(0,), (0, 3)])
+    def test_empty_system_solves_any_rhs(self, sizes, shape):
+        bf = factor_blocks(sp.csr_matrix((0, 0)), sizes)
+        assert bf.coupled.size == 0 and bf.L.shape == bf.U.shape == (0, 0)
+        rhs = np.zeros(shape)
+        out = block_solve(bf, rhs)
+        assert out.shape == shape and out is not rhs
+
 
 class TestPreparedSolve:
     @pytest.mark.parametrize("blocks,droptol", _BLOCK_CASES)

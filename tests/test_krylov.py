@@ -346,8 +346,9 @@ class TestWorkspace:
 
 
 @pytest.mark.parametrize("solver", [gmres, cg])
-@pytest.mark.parametrize("setting", [{"tol": np.nan}, {"tol": -1e-8}, {"maxit": -1}],
-                         ids=["tol-nan", "tol-negative", "maxit-negative"])
+@pytest.mark.parametrize("setting", [{"tol": np.nan}, {"tol": -1e-8}, {"maxit": -1},
+                                     {"tol": np.inf}],
+                         ids=["tol-nan", "tol-negative", "maxit-negative", "tol-inf"])
 def test_bad_settings_rejected(solver, setting):
     name = next(iter(setting))
     with pytest.raises(ValueError, match=name):

@@ -146,6 +146,11 @@ class TestCorrection:
         np.testing.assert_array_equal(apply_correction(lr, y), y)
         assert lr.nnz == 0
 
+    def test_empty_basis_has_rank_zero(self):
+        lr = build_correction(np.zeros((7, 0)), np.zeros((0, 0)))
+        assert lr.rank == 0
+        assert (lr.V.shape, lr.H.shape, lr.G.shape) == ((7, 0), (0, 0), (0, 0))
+
     def test_singular_core_raises(self):
         # H with eigenvalue exactly 1 makes I - H singular
         V = np.eye(3)[:, :1]

@@ -18,6 +18,10 @@ class TestConfig:
     def test_defaults_valid(self):
         PslrConfig().validate()
 
+    def test_numpy_integers_accepted(self):
+        cfg = PslrConfig(*np.array([4, 2, 3], dtype=np.int64), droptol=0, seed=np.int32(5))
+        assert (cfg.num_subdomains, cfg.series_degree, cfg.rank, cfg.seed) == (4, 2, 3, 5)
+
     @pytest.mark.parametrize("kwargs", [
         {"num_subdomains": 0},
         {"series_degree": -1},
@@ -25,9 +29,15 @@ class TestConfig:
         {"droptol": -0.1},
         {"droptol": np.nan},
         {"droptol": np.inf},
+        {"num_subdomains": 2.5},
+        {"series_degree": 1.5},
+        {"rank": 2.5},
+        {"rank": True},
+        {"seed": 1.0},
+        {"seed": -1},
     ])
     def test_invalid_rejected(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
             PslrConfig(**kwargs)
         with pytest.raises(ValueError):   # replace re-validates
             replace(PslrConfig(), **kwargs)

@@ -111,6 +111,13 @@ class TestParseProblem:
         assert (spec.nx, spec.ny, spec.nz, spec.shift) == (3, 4, 5, 0.1)
         assert A.shape == (60, 60)
 
+    def test_lap3d_is_laplacian3d(self):
+        spec, A = parse_problem("lap3d:3,4,5,0.1")
+        assert spec == ProblemSpec(3, 4, 5, shift=0.1)
+        ref = laplacian3d(spec)
+        for name in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(A, name), getattr(ref, name))
+
     def test_convdiff3d(self):
         spec, A = parse_problem("convdiff3d:3,3,3,0.0,1.0,2.0,3.0")
         assert spec.convection == (1.0, 2.0, 3.0)

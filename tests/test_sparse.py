@@ -51,6 +51,15 @@ class TestPermutation:
         with pytest.raises(ValueError):
             Permutation.from_forward([0, 0, 1])
 
+    @pytest.mark.parametrize("forward", [[0, 1, 3], [-1, 0, 1]])
+    def test_out_of_range(self, forward):
+        with pytest.raises(ValueError):
+            Permutation.from_forward(forward)
+
+    def test_empty(self):
+        p = Permutation.from_forward([])
+        assert len(p) == 0 and p.inverse.size == 0
+
 
 class TestPermuteSymmetric:
     def test_identity_permutation(self):
@@ -210,3 +219,15 @@ class TestMatrixMarket:
         B = read_matrix_market(path)
         assert (B != A).nnz == 0
         np.testing.assert_array_equal(B.data, A.data)
+
+    def test_write_keeps_path_and_every_bit(self, tmp_path):
+        # signed zeros, a subnormal and both ends of the exponent range
+        A = sp.csr_matrix(([0.0, -0.0, 5e-324, -1.7976931348623157e308, 1 / 3, 1e-300],
+                           ([0, 0, 1, 2, 2, 3], [0, 3, 1, 0, 2, 3])), shape=(4, 5))
+        path = tmp_path / "values.txt"
+        write_matrix_market(A, path)
+        assert [p.name for p in tmp_path.iterdir()] == ["values.txt"]
+        B = read_matrix_market(path)
+        assert B.shape == A.shape
+        np.testing.assert_array_equal(B.indices, A.indices)
+        np.testing.assert_array_equal(B.data.view(np.int64), A.data.view(np.int64))
