@@ -145,11 +145,12 @@ def classify_and_reorder(A, spec: PartitionSpec) -> PartitionedSystem:
     is_interface[rows[cross]] = True
     is_interface[A.indices[cross]] = True
 
-    # interiors by subdomain, then interfaces by subdomain, index order within each
+    # interiors by subdomain, then interfaces by subdomain, index order within each;
+    # the sorted order is the new -> old map, a bijection by construction
     new_order = np.lexsort((part, is_interface))
     forward = np.empty(n, dtype=np.int64)
     forward[new_order] = np.arange(n, dtype=np.int64)
-    perm = Permutation.from_forward(forward)
+    perm = Permutation(forward=forward, inverse=new_order)
 
     reordered = permute_symmetric(A, perm)
     interior_sizes = np.bincount(part[~is_interface], minlength=s)

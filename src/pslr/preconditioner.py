@@ -65,8 +65,6 @@ class FillStats:
     nnz_lowrank: int
     nnz_matrix: int
     pivot_repairs: int
-    order_time_s: float
-    build_time_s: float
 
     @property
     def fill_ilu(self) -> float:
@@ -102,8 +100,6 @@ class PslrPreconditioner:
             nnz_lowrank=correction.nnz,
             nnz_matrix=ctx.system.matrix.nnz,   # the entries of canonical(A), reordered
             pivot_repairs=ctx.b_ilu.pivot_repairs + ctx.c0_ilu.pivot_repairs,
-            order_time_s=stage_s.order,
-            build_time_s=stage_s.factor + stage_s.arnoldi + stage_s.core,
         )
 
     @property

@@ -185,6 +185,21 @@ def test_criterion_08_rank_dichotomy():
     behind its series-only failures.  That the Arnoldi correction adds
     iterations instead of removing them is a weakness of the correction, not
     of this test.
+
+    At droptol 1e-3 the criterion's shape appears, with a converged-subspace
+    correction only (figures of ROADMAP items 3 and 4; iterations as rank 0 /
+    r-step rank 15 / r-step rank 30 / converged rank 15 / converged rank 30,
+    tol 1e-8, at most 500 iterations):
+      L32 under GMRES(40): fail / fail / fail / 356 / 113.  Err has 13
+        eigenvalues above 1 (largest 1.178).
+      P20 (lap3d 20^3, shift 0.2, s=16, m=3) under GMRES(20):
+        377 / 214 / 292 / 36 / 27.  Err has 4 eigenvalues above 1 (1.193).
+    Re-measured with the library (`build(...).recorrected(3, rank)`, `gmres`
+    with restart 40 or 20, maxit 500, b = A x for x from seed 0): L32 ranks
+    0 / 15 / 30 stop at relres 2.49e-7 / 5.51e-7 / 1.77e-7 after 500
+    iterations; P20 ranks 0 / 15 / 30 converge in 377 / 214 / 292.  The Err
+    eigenvalue counts were re-measured with ARPACK (k=30, tol 1e-6).  The
+    converged-subspace columns were not re-measured.
     """
     A = laplacian3d(ProblemSpec(32, 32, 32, shift=0.16))
     reports = {}

@@ -203,7 +203,7 @@ class TestSolve:
     def test_cg_on_spd(self, tmp_path):
         out = tmp_path / "o.json"
         code = main(["solve", "--problem", PROBLEM, "--s", "4", "--rank", "0",
-                     "--krylov", "cg", "--out", str(out)])
+                     "--krylov", "cg", "--restart", "0", "--out", str(out)])
         assert code == 0
 
     def test_partition_dump(self, tmp_path):
@@ -224,6 +224,21 @@ class TestSolve:
         code, stats = run_solve(tmp_path, "--maxit", "300", "--tol", "1e-8")
         assert code == 0 and stats["converged"] is True
 
+    def test_times_come_from_stage_record(self):
+        A = parse_problem(PROBLEM)[1]
+        manifest = pslr.cli.RunManifest(problem=PROBLEM, s=4, rank=6)
+        P = pslr.preconditioner.build(A, pslr.cli._config(manifest))
+        for Q in (P, P.recorrected(2, 3)):
+            _, report = pslr.cli._solve_with(A, Q, manifest)
+            row = pslr.cli._stats_payload(Q, report, manifest)
+            sec = Q.stage_s
+            assert row["o_t"] == sec.order
+            assert row["p_t"] == sec.factor + sec.arnoldi + sec.core
+            assert row["i_t"] == report.time_s
+            assert row["t_t"] == row["p_t"] + row["i_t"]
+        # the recorrected row reuses P's factors and still counts their seconds
+        assert sec.factor == P.stage_s.factor > 0.0 and row["p_t"] >= sec.factor
+
     def test_manifest_fields(self, tmp_path):
         _, stats = run_solve(tmp_path)
         assert stats["manifest"] == {
@@ -242,8 +257,11 @@ class TestSolve:
         ({}, ["--krylov", "cg", "--maxit", "-1"]),
         ({}, ["--tol", "inf"]),
         ({"PSLR_TOL": "inf"}, []),
+        ({}, ["--krylov", "cg", "--restart", "5"]),
+        ({"PSLR_RESTART": "5"}, ["--krylov", "cg"]),
     ], ids=["droptol-nan", "env-droptol-inf", "tol-nan", "tol-negative", "maxit-negative",
-            "restart-negative", "cg-maxit-negative", "tol-inf", "env-tol-inf"])
+            "restart-negative", "cg-maxit-negative", "tol-inf", "env-tol-inf", "cg-restart",
+            "env-cg-restart"])
     def test_bad_setting_is_an_error(self, monkeypatch, capsys, env, args):
         for name, value in env.items():
             monkeypatch.setenv(name, value)
