@@ -5,9 +5,7 @@ Python: `pslr solve` runs one build+solve and emits a JSON stats record,
 `pslr sweep` tabulates a parameter sweep as CSV, and `pslr spectrum` lists
 the eigenvalues of one operator of the built preconditioner (ILUT factors at
 --droptol; exact at --droptol 0) as re,im CSV.  Matrices come from Matrix
-Market files (--matrix) or generated test problems (--problem).  Every flag
-but --axis, --values and --target can be set through a PSLR_-prefixed
-environment variable.
+Market files (--matrix) or generated test problems (--problem).
 
 Run:  python demos/05_cli_tour.py
 """

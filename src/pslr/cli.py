@@ -1,14 +1,13 @@
 """Command-line front end: solve, sweep, and spectrum subcommands.
 
-Each subcommand accepts only the flags it reads.  All of them but ``--axis``,
-``--values`` and ``--target`` can also be set through an environment variable
-with the ``PSLR_`` prefix (e.g. ``PSLR_DROPTOL=1e-3``); explicit flags win.  The
-right-hand side is A x with a seeded random x, and the solve starts from zero.
+Each subcommand accepts only the flags it reads, and flags are the only way to
+set a run: what is not given takes RunManifest's default.  The right-hand side
+is A x with a seeded random x, and the solve starts from zero.
 
-Exit codes: 0 converged, 1 input/usage error (a bad flag or ``PSLR_`` value
-included) or a build or solve that cannot proceed (CG on a matrix that is not
-SPD, a singular correction core, a Krylov solve stopped by non-finite values,
-memory exhausted), 2 solver failed to converge.
+Exit codes: 0 converged, 1 input/usage error (a bad flag or value included) or
+a build or solve that cannot proceed (CG on a matrix that is not SPD, a
+singular correction core, a Krylov solve stopped by non-finite values, memory
+exhausted), 2 solver failed to converge.
 """
 
 from __future__ import annotations
@@ -67,7 +66,7 @@ class RunManifest:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Usage errors, bad PSLR_ values included, exit 1 with one `error:` line, not 2."""
+    """Usage errors exit 1 with one `error:` line, not 2."""
 
     def __init__(self, **kwargs):   # full flags only: the launcher reads --threads as spelled
         super().__init__(allow_abbrev=False, **kwargs)
@@ -76,17 +75,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"error: {message}\n")
 
     def flag(self, name, type=str, **kwargs):
-        """Add --name; PSLR_<NAME>, when set, replaces RunManifest's default."""
-        dest = name.replace("-", "_")
-        env, default = "PSLR_" + dest.upper(), getattr(RunManifest, dest)
-        if env in os.environ:
-            raw = os.environ[env]
-            try:
-                default = type(raw)
-            except ValueError:
-                self.error(f"{env}: invalid {type.__name__} value: {raw!r}")
-            if default not in kwargs.get("choices", [default]):
-                self.error(f"{env}: invalid choice: {raw!r} (choose from {kwargs['choices']})")
+        """Add --name with RunManifest's default."""
+        default = getattr(RunManifest, name.replace("-", "_"))
         self.add_argument("--" + name, type=type, default=default, **kwargs)
 
 

@@ -26,12 +26,9 @@ def child_env():
     """Environment for a child interpreter that runs pslr.
 
     PYTHONPATH is the absolute directory holding the pslr imported here, so
-    the child runs the same code whatever its working directory; inherited
-    PSLR_* defaults are dropped so they cannot change the run under test.
+    the child runs the same code whatever its working directory.
     """
-    env = {k: v for k, v in os.environ.items() if not k.startswith("PSLR_")}
-    env["PYTHONPATH"] = str(Path(pslr.__file__).resolve().parent.parent)
-    return env
+    return {**os.environ, "PYTHONPATH": str(Path(pslr.__file__).resolve().parent.parent)}
 
 
 def lap1d(n):

@@ -283,7 +283,16 @@ def test_criterion_10_structural_invariants():
 
 def test_criterion_11_determinism_across_threads(tmp_path):
     """Identical manifests give identical iteration counts and fill stats
-    under thread limits 1 and 4."""
+    under thread limits 1 and 4.
+
+    The exact `final_relres` match holds here because at n = 1728 no BLAS
+    call runs threaded.  On the benchmark instances at seed 0, one against
+    two BLAS threads keeps the iterations but not the bits: L32 takes 145
+    both ways with `final_relres` 9.281124796067677e-09 against
+    9.281124795843059e-09, cd40 28 with 8.02067115211317e-09 against
+    8.020671151140604e-09, and the bits differ still with `np.linalg.norm`
+    replaced by a reduction that calls no BLAS.
+    """
     import subprocess
     import sys
     payloads = []

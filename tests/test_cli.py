@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -213,16 +214,20 @@ class TestSolve:
         parts = json.loads(pj.read_text())
         assert len(parts) == 216 and set(parts) == {0, 1, 2, 3}
 
-    def test_env_var_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PSLR_MAXIT", "2")
-        monkeypatch.setenv("PSLR_TOL", "1e-14")
-        code, stats = run_solve(tmp_path)
-        assert code == 2 and stats["its"] == 2
-
-    def test_flag_beats_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PSLR_MAXIT", "2")
-        code, stats = run_solve(tmp_path, "--maxit", "300", "--tol", "1e-8")
-        assert code == 0 and stats["converged"] is True
+    def test_pslr_environment_is_ignored(self):
+        # flags are the only way to set a run: PSLR_* variables left in the
+        # shell, invalid ones included, change neither the run nor its manifest
+        args = ["-m", "pslr", "solve", "--problem", "lap3d:6,6,6,0.05", "--s", "4",
+                "--threads", "1"]
+        leftover = {"PSLR_MAXIT": "2", "PSLR_DROPTOL": "inf", "PSLR_THREADS": "-3"}
+        runs = [subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                               env=env, timeout=120)
+                for env in (child_env(), {**child_env(), **leftover})]
+        for proc in runs:
+            assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        clean, polluted = (json.loads(proc.stdout) for proc in runs)
+        for key in ("its", "fill_ilu", "fill_lowrank", "fill_total", "manifest"):
+            assert polluted[key] == clean[key], key
 
     def test_times_come_from_stage_record(self):
         A = parse_problem(PROBLEM)[1]
@@ -247,24 +252,19 @@ class TestSolve:
             "threads": 0, "out": str(tmp_path / "stats.json"), "partition_out": None,
             "axis": None, "values": [], "target": None}
 
-    @pytest.mark.parametrize("env, args", [
-        ({}, ["--droptol", "nan"]),
-        ({"PSLR_DROPTOL": "inf"}, []),
-        ({}, ["--tol", "nan"]),
-        ({}, ["--tol", "-1"]),
-        ({}, ["--maxit", "-1"]),
-        ({}, ["--restart", "-2"]),
-        ({}, ["--krylov", "cg", "--maxit", "-1"]),
-        ({}, ["--tol", "inf"]),
-        ({"PSLR_TOL": "inf"}, []),
-        ({}, ["--krylov", "cg", "--restart", "5"]),
-        ({"PSLR_RESTART": "5"}, ["--krylov", "cg"]),
-    ], ids=["droptol-nan", "env-droptol-inf", "tol-nan", "tol-negative", "maxit-negative",
-            "restart-negative", "cg-maxit-negative", "tol-inf", "env-tol-inf", "cg-restart",
-            "env-cg-restart"])
-    def test_bad_setting_is_an_error(self, monkeypatch, capsys, env, args):
-        for name, value in env.items():
-            monkeypatch.setenv(name, value)
+    @pytest.mark.parametrize("args", [
+        ["--droptol", "nan"],
+        ["--droptol", "inf"],
+        ["--tol", "nan"],
+        ["--tol", "-1"],
+        ["--maxit", "-1"],
+        ["--restart", "-2"],
+        ["--krylov", "cg", "--maxit", "-1"],
+        ["--tol", "inf"],
+        ["--krylov", "cg", "--restart", "5"],
+    ], ids=["droptol-nan", "droptol-inf", "tol-nan", "tol-negative", "maxit-negative",
+            "restart-negative", "cg-maxit-negative", "tol-inf", "cg-restart"])
+    def test_bad_setting_is_an_error(self, capsys, args):
         assert main(["solve", "--problem", PROBLEM, "--s", "4", *args]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1, err
@@ -282,17 +282,11 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1 and "integer" in err
 
-    @pytest.mark.parametrize("env, args", [({}, ["--s", "abc"]),
-                                           ({"PSLR_S": "abc"}, []),
-                                           ({"PSLR_KRYLOV": "bogus"}, []),
-                                           ({}, ["--thread", "1"]),
-                                           ({}, ["--threads", "-3"]),
-                                           ({"PSLR_THREADS": "-3"}, [])],
-                             ids=["flag", "env-type", "env-choice", "abbreviated-flag",
-                                  "threads-negative", "env-threads-negative"])
-    def test_bad_value_is_a_usage_error(self, monkeypatch, capsys, env, args):
-        for name, value in env.items():
-            monkeypatch.setenv(name, value)
+    @pytest.mark.parametrize("args", [["--s", "abc"], ["--krylov", "bogus"], ["--thread", "1"],
+                                      ["--threads", "-3"]],
+                             ids=["flag", "krylov-choice", "abbreviated-flag",
+                                  "threads-negative"])
+    def test_bad_value_is_a_usage_error(self, capsys, args):
         assert_usage_error(capsys, ["solve", "--problem", PROBLEM, *args])
 
 
@@ -632,6 +626,33 @@ class TestThreadsWarning:
                     if ln.startswith("warning:")]
         assert len(warnings) == 1 and "--threads 2" in warnings[0]
         assert json.loads((tmp_path / "o.json").read_text())["manifest"]["threads"] == 2
+
+    @pytest.mark.parametrize("limited, flags, exported", [
+        (True, [], "1"), (True, ["--threads", "2"], "2"), (False, [], None)],
+        ids=["limited", "limited-threads-flag", "unlimited"])
+    def test_launcher_under_address_space_limit(self, tmp_path, monkeypatch, capsys,
+                                                limited, flags, exported):
+        """Under a finite RLIMIT_AS the launcher exports 1 BLAS thread, with one
+        warning, unless --threads is given.  Run in-process with getrlimit
+        patched: no process runs under a real limit, and as numpy is loaded
+        already, only the exports and the warning are checked."""
+        resource = pytest.importorskip("resource")
+        from pslr._main import _THREAD_VARS, main as launch
+        soft = 1 << 40 if limited else resource.RLIM_INFINITY
+        monkeypatch.setattr(resource, "getrlimit", lambda which: (
+            soft if which == resource.RLIMIT_AS else resource.RLIM_INFINITY,
+            resource.RLIM_INFINITY))
+        # the launcher writes os.environ: give it a copy without the thread variables
+        monkeypatch.setattr(os, "environ", {k: v for k, v in os.environ.items()
+                                            if k not in _THREAD_VARS})
+        assert launch([*self.ARGS, *flags, "--out", str(tmp_path / "o.json")]) == 0
+        assert [os.environ.get(var) for var in _THREAD_VARS] == [exported] * 4
+        err = capsys.readouterr().err
+        if limited and not flags:
+            assert err.startswith("warning:") and err.count("\n") == 1, err
+            assert "RLIMIT_AS" in err and "--threads" in err
+        else:
+            assert err == ""
 
     def test_launcher_request_is_silent(self, tmp_path):
         out = tmp_path / "o.json"
