@@ -16,6 +16,17 @@ kept as a list of (column, value) pairs after the diagonal for the updates
 of later rows, and L and U are appended row by row to CSR
 `indptr`/`indices`/`data` lists.
 
+The blocks of one matrix are factored in as many processes as the
+affinity mask has CPUs, each with a contiguous share of the blocks of about
+equal nnz, and no share smaller than a fork is worth (see
+`factor_blocks`).  The children are forked, so they read
+the matrix from the memory they inherit, and each sends its factors back
+through a pipe, pickled.  Only the ILUT row loop runs in them; the factors
+are assembled and prepared in the caller's process.  A block's factors
+depend on nothing but the block and droptol, so they are the same bits
+whichever process made them, and the result does not depend on the number
+of processes.  `taskset -c 0` gives a one-process build.
+
 The assembled block factors are prepared for solving once, when they are
 built: each triangular factor becomes the upper factor of a SuperLU object
 (see `_prepare`).  The unit-lower `L` is handed over transposed and swept
@@ -40,6 +51,9 @@ factors are mostly bare; B's are not, and keep objects over every row.
 from __future__ import annotations
 
 import os
+import pickle
+import signal
+import warnings
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
@@ -64,6 +78,11 @@ class IluFactor:
         return self.L.nnz + self.U.nnz
 
 
+def _check_droptol(droptol: float) -> None:
+    if not 0 <= droptol < np.inf:
+        raise ValueError(f"droptol must be finite and >= 0, got {droptol}")
+
+
 def ilut(block, droptol: float = 1e-2) -> IluFactor:
     """Incomplete LU of a square block with threshold dropping.
 
@@ -78,8 +97,7 @@ def ilut(block, droptol: float = 1e-2) -> IluFactor:
     if A.shape[0] != A.shape[1]:
         raise ValueError("block must be square")
     n = A.shape[0]
-    if not 0 <= droptol < np.inf:
-        raise ValueError(f"droptol must be finite and >= 0, got {droptol}")
+    _check_droptol(droptol)
 
     row_norms = np.sqrt(np.asarray(A.multiply(A).sum(axis=1)).ravel()).tolist()
     a_ptr, a_idx, a_val = A.indptr.tolist(), A.indices.tolist(), A.data.tolist()
@@ -239,22 +257,152 @@ def _prepare(T: sp.csc_matrix) -> SuperLU:
         os.close(r)
 
 
+# the least nnz a share is given: a forked share costs 15-30 ms (the fork,
+# copy-on-write faults, the pipe and the child's exit), and on lap3d 20^3
+# (s=16) ILUT(B), 25128 nnz, took as long in two shares as in one
+_SHARE_NNZ = 20_000
+
+
+def _cpus() -> list[int]:
+    """The CPUs in the affinity mask, or none where the OS cannot report
+    the mask or fork."""
+    if not (hasattr(os, "sched_getaffinity") and hasattr(os, "fork")):
+        return []
+    return sorted(os.sched_getaffinity(0))
+
+
+def _pin(cpus) -> bool:
+    """Restrict the calling thread to `cpus`; False where the OS refuses."""
+    try:
+        os.sched_setaffinity(0, cpus)
+    except OSError:
+        return False
+    return True
+
+
+def _shares(weights, k: int) -> list[tuple[int, int]]:
+    """Split blocks 0..len(weights)-1 into at most k contiguous [lo, hi)
+    ranges of about equal total weight; no range is empty."""
+    cum = np.concatenate([[0], np.cumsum(weights)])
+    cuts = np.searchsorted(cum, cum[-1] * np.arange(1, k) / k)
+    bounds = np.unique(np.concatenate([[0], cuts, [len(weights)]])).tolist()
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _ilut_range(A, offsets, lo, hi, droptol) -> list[IluFactor]:
+    return [ilut(A[offsets[b]:offsets[b + 1], offsets[b]:offsets[b + 1]], droptol)
+            for b in range(lo, hi)]
+
+
+def _fork_share(A, offsets, share, droptol, cpu):
+    """Fork a child that runs on `cpu`, ILUTs the blocks of `share` and
+    pickles the factors, or the exception it raised, to a pipe.  Returns the
+    child's pid and the pipe's read end, or None when no process can be
+    forked."""
+    r, w = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12+ warns when a process with threads (OpenBLAS's pool)
+            # forks, as the child may inherit a lock that a vanished thread
+            # held.  This child takes none: it calls no BLAS, and it leaves
+            # through os._exit.
+            warnings.filterwarnings("ignore", "This process .* is multi-threaded",
+                                    DeprecationWarning)
+            pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return None
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            _pin({cpu})
+            try:
+                result = (True, _ilut_range(A, offsets, *share, droptol))
+            except BaseException as exc:
+                result = (False, exc)
+            with open(w, "wb") as pipe:
+                pickle.dump(result, pipe, pickle.HIGHEST_PROTOCOL)
+            code = 0
+        finally:
+            # no atexit handler, and no flush of the stdio buffers the child
+            # inherited, which would print the parent's pending output twice
+            os._exit(code)
+    os.close(w)
+    return pid, open(r, "rb")
+
+
+def _ilut_blocks(A, offsets, droptol) -> list[IluFactor]:
+    """ILUT of every block, in shares of about equal nnz: the caller's
+    thread factors the first share, and a forked child each other one, each
+    on a CPU of its own.  The factors come back in block order."""
+    nblocks = offsets.size - 1
+    cpus = _cpus()
+    weights = np.diff(A.indptr[offsets])
+    k = min(len(cpus), nblocks, int(weights.sum()) // _SHARE_NNZ)
+    shares = _shares(weights, max(1, k))
+    factors: list[IluFactor] = [None] * nblocks
+    own, children = shares[:1], {}   # children: pid -> (read end, share)
+    # a forked child starts on its parent's CPU, and the scheduler can leave
+    # both there for the whole factorization, so every process is pinned
+    pinned = len(shares) > 1 and _pin({cpus[0]})
+    try:
+        for share, cpu in zip(shares[1:], cpus[1:]):
+            child = _fork_share(A, offsets, share, droptol, cpu)
+            if child is None:    # no process to spare: factor the share here
+                own.append(share)
+            else:
+                children[child[0]] = (child[1], share)
+        for lo, hi in own:
+            factors[lo:hi] = _ilut_range(A, offsets, lo, hi, droptol)
+        for pid, (pipe, (lo, hi)) in list(children.items()):
+            try:
+                ok, result = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):
+                pipe.close()
+                del children[pid]
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                raise ChildProcessError(f"the process factoring blocks {lo} to {hi - 1} "
+                                        f"ended with exit code {code} and no result") from None
+            if not ok:
+                raise result
+            factors[lo:hi] = result
+    except BaseException:
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        if pinned:
+            _pin(cpus)
+        for pid, (pipe, _) in children.items():
+            pipe.close()
+            os.waitpid(pid, 0)
+    return factors
+
+
 def factor_blocks(A, block_sizes, droptol: float = 1e-2) -> BlockILU:
     """ILUT each diagonal block of A, with blocks given by `block_sizes`;
-    the entries outside the blocks are never read."""
+    the entries outside the blocks are never read.
+
+    The blocks are factored in k processes: one per CPU in the affinity
+    mask, but no more than there are blocks, or multiples of `_SHARE_NNZ`
+    entries in the blocks' rows.  The block list is cut into k contiguous
+    shares of about equal nnz; the calling thread factors the first, and a
+    forked child each of the others.  Each block's ILUT is independent and
+    deterministic, and pickle carries its factors back bit for bit, so the
+    result does not depend on k.  Every child has ended when this returns
+    or raises, and an exception a child raised is raised here."""
     A = canonical(A)
     sizes = np.asarray(block_sizes, dtype=np.int64)
     if sizes.sum() != A.shape[0] or A.shape[0] != A.shape[1]:
         raise ValueError("block sizes do not tile the matrix")
+    _check_droptol(droptol)
     n = A.shape[0]
     if n == 0:   # sp.block_diag raises on an empty list of blocks
         return BlockILU(n=0, nnz=0, pivot_repairs=0, lower=None, upper=None,
                         coupled=np.empty(0, np.int64), diag=np.empty(0))
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    factors = []
-    for b in range(sizes.size):
-        lo, hi = offsets[b], offsets[b + 1]
-        factors.append(ilut(A[lo:hi, lo:hi], droptol=droptol))
+    factors = _ilut_blocks(A, np.concatenate([[0], np.cumsum(sizes)]), droptol)
     # both reach SuperLU in CSC with no conversion copy: the transpose of
     # L's CSR is CSC as it stands, and U is assembled in CSC
     Lt = sp.block_diag([f.L for f in factors], format="csr").T

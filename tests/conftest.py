@@ -18,6 +18,7 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 import pslr
+import pslr.ilu
 from pslr.partition import classify_and_reorder, partition_graph
 from pslr.problems import ProblemSpec, laplacian3d
 
@@ -29,6 +30,31 @@ def child_env():
     the child runs the same code whatever its working directory.
     """
     return {**os.environ, "PYTHONPATH": str(Path(pslr.__file__).resolve().parent.parent)}
+
+
+@pytest.fixture
+def shares(monkeypatch):
+    """`shares(k)` makes `factor_blocks` cut any matrix into k shares, or one
+    per block if fewer, by faking a k-CPU affinity mask and lifting the
+    least nnz of a share.  It returns the list of the `os.fork` calls this
+    process makes.  A build that forks pins the calling thread and then
+    restores the fake mask, so the real one is restored at teardown."""
+    real = os.sched_getaffinity(0)
+    fork = os.fork
+    forks = []
+
+    def counted_fork():
+        forks.append(os.getpid())
+        return fork()
+
+    def force(k):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
+        monkeypatch.setattr(pslr.ilu, "_SHARE_NNZ", 1)
+        monkeypatch.setattr(os, "fork", counted_fork)
+        return forks
+
+    yield force
+    os.sched_setaffinity(0, real)
 
 
 def lap1d(n):

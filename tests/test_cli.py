@@ -12,6 +12,7 @@ import pytest
 import scipy.sparse as sp
 
 import pslr.cli
+import pslr.ilu
 import pslr.preconditioner
 from pslr.cli import build_parser, main
 from pslr.diagnostics import dense_schur
@@ -116,6 +117,22 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert message in err
+
+    def test_out_of_memory_in_a_forked_share(self, monkeypatch, capsys, shares):
+        shares(2)
+        parent, ilut = os.getpid(), pslr.ilu.ilut
+
+        def exhausted(block, droptol=1e-2):
+            if os.getpid() != parent:
+                raise MemoryError("Unable to allocate 8.00 GiB for the child's block")
+            return ilut(block, droptol)
+        monkeypatch.setattr(pslr.ilu, "ilut", exhausted)
+        assert main(["solve", "--problem", "lap3d:12,12,12,0.05", "--s", "8"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: Unable to allocate 8.00 GiB for the child's block\n"
+        assert captured.out == ""
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_cg_on_indefinite_is_an_error(self, capsys):
         code = main(["solve", "--problem", "lap3d:8,8,8,0.5", "--s", "4", "--krylov", "cg"])

@@ -1,4 +1,9 @@
 import heapq
+import os
+import subprocess
+import sys
+import textwrap
+import time
 from functools import partial
 
 import numpy as np
@@ -6,11 +11,12 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from pslr.ilu import IluFactor, _prepare, block_solve, factor_blocks, ilut
+import pslr.ilu
+from pslr.ilu import IluFactor, _prepare, _shares, block_solve, factor_blocks, ilut
 from pslr.problems import parse_problem
 from pslr.sparse import canonical
 
-from conftest import lap1d, partitioned, random_sparse, sparse_matrices
+from conftest import child_env, lap1d, partitioned, random_sparse, sparse_matrices
 
 
 def _reference_ilut(block, droptol: float = 1e-2) -> IluFactor:
@@ -191,6 +197,9 @@ def _factor_case(blocks, droptol):
     return factor_blocks(A, [blk.shape[0] for blk in blocks], droptol=droptol)
 
 
+_DROPTOL_CHECKS = (ilut, lambda A, droptol: factor_blocks(A, [1] * A.shape[0], droptol=droptol))
+
+
 class TestIlut:
     def test_droptol_zero_is_exact_lu(self):
         A = random_sparse(40, density=0.2, seed=0)
@@ -262,14 +271,21 @@ class TestIlut:
         with pytest.raises(ValueError):
             ilut(sp.csr_matrix((2, 3)))
 
-    def test_negative_droptol_rejected(self):
-        with pytest.raises(ValueError):
-            ilut(sp.identity(2, format="csr"), droptol=-1.0)
+    # factor_blocks checks droptol in the calling process, before any fork
+    def test_negative_droptol_rejected(self, shares):
+        forks = shares(2)
+        for factor in _DROPTOL_CHECKS:
+            with pytest.raises(ValueError, match="droptol must be finite and >= 0, got -1.0"):
+                factor(sp.identity(2, format="csr"), droptol=-1.0)
+        assert forks == []
 
     @pytest.mark.parametrize("droptol", [np.nan, np.inf])
-    def test_non_finite_droptol_rejected(self, droptol):
-        with pytest.raises(ValueError, match="droptol"):
-            ilut(sp.identity(2, format="csr"), droptol=droptol)
+    def test_non_finite_droptol_rejected(self, droptol, shares):
+        forks = shares(2)
+        for factor in _DROPTOL_CHECKS:
+            with pytest.raises(ValueError, match="droptol"):
+                factor(sp.identity(2, format="csr"), droptol=droptol)
+        assert forks == []
 
 
 class TestBlockFactors:
@@ -322,6 +338,148 @@ class TestBlockFactors:
         rhs = np.zeros(shape)
         out = block_solve(bf, rhs)
         assert out.shape == shape and out is not rhs
+
+
+def _assert_same_block_factors(bf, ref):
+    """The same factors to the bit, the same counts and the same bare-row split."""
+    _assert_same_csr(bf.L, ref.L)
+    _assert_same_csr(bf.U, ref.U)
+    assert (bf.n, bf.nnz, bf.pivot_repairs) == (ref.n, ref.nnz, ref.pivot_repairs)
+    for a, b in ((bf.coupled, ref.coupled), (bf.diag, ref.diag)):
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+_LAP10 = partitioned(parse_problem("lap3d:10,10,10,0.3")[1], 8)
+
+# (matrix, block sizes, droptol, whether the factors take the bare-row split)
+_FAN_OUT_CASES = {
+    "lap3d-B": (_LAP10.B, _LAP10.interior_sizes, 1e-2, False),
+    "lap3d-C": (_LAP10.C, _LAP10.interface_sizes, 1e-2, True),
+    "random": (sp.block_diag(_BLOCK_CASES[3][0], format="csr"),
+               [b.shape[0] for b in _BLOCK_CASES[3][0]], _BLOCK_CASES[3][1], False),
+    "mostly-bare": (sp.block_diag(_SPLIT_CASES[0][0] + _SPLIT_CASES[2][0], format="csr"),
+                    [b.shape[0] for b in _SPLIT_CASES[0][0] + _SPLIT_CASES[2][0]], 0.0, True),
+}
+
+
+class TestFanOut:
+    @pytest.mark.parametrize("case", _FAN_OUT_CASES.values(), ids=_FAN_OUT_CASES.keys())
+    @pytest.mark.parametrize("k", [2, 3, 64])   # 64 is more shares than blocks
+    def test_any_number_of_shares_gives_the_same_factors(self, case, k, shares):
+        A, sizes, droptol, split = case
+        forks = shares(1)
+        ref = factor_blocks(A, sizes, droptol=droptol)
+        assert forks == [] and (ref.coupled is not None) == split
+        shares(k)
+        _assert_same_block_factors(factor_blocks(A, sizes, droptol=droptol), ref)
+        assert 1 <= len(forks) <= min(k, len(sizes)) - 1
+        with pytest.raises(ChildProcessError):   # every child is reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("weights,k,want", [
+        ([5, 5, 5, 5], 2, [(0, 2), (2, 4)]),
+        ([3, 1, 2], 1, [(0, 3)]),
+        ([100, 1, 1, 1], 2, [(0, 1), (1, 4)]),
+        ([100, 1, 1], 3, [(0, 1), (1, 3)]),   # no share is left empty
+        ([0, 0, 0], 2, [(0, 3)]),
+    ])
+    def test_shares_are_contiguous_and_balanced(self, weights, k, want):
+        assert _shares(weights, k) == want
+
+    def test_small_matrix_is_factored_in_the_caller(self, monkeypatch):
+        # a fork costs more than the ILUT of fewer than 2 * _SHARE_NNZ entries
+        def no_fork():
+            raise AssertionError("forked")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(os, "fork", no_fork)
+        A, sizes, droptol, _ = _FAN_OUT_CASES["lap3d-B"]
+        assert A.nnz < 2 * pslr.ilu._SHARE_NNZ
+        factor_blocks(A, sizes, droptol=droptol)
+
+    def test_fork_failure_factors_in_the_caller(self, shares, monkeypatch):
+        A, sizes, droptol, _ = _FAN_OUT_CASES["random"]
+        shares(3)
+        ref = factor_blocks(A, sizes, droptol=droptol)
+
+        def no_process():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        monkeypatch.setattr(os, "fork", no_process)
+        _assert_same_block_factors(factor_blocks(A, sizes, droptol=droptol), ref)
+
+
+def _fail_in(where, action, monkeypatch):
+    """Make ILUT run `action` on the first block it meets in the calling
+    process (where="parent") or in a forked child (where="child")."""
+    parent, real = os.getpid(), pslr.ilu.ilut
+
+    def ilut_or_fail(block, droptol=1e-2):
+        if (os.getpid() == parent) == (where == "parent"):
+            action()
+        return real(block, droptol)
+    monkeypatch.setattr(pslr.ilu, "ilut", ilut_or_fail)
+
+
+class TestFanOutFailures:
+    @pytest.mark.parametrize("exc", [ValueError("no pivot in the child's share"),
+                                     MemoryError("Unable to allocate 8.00 GiB")])
+    def test_child_exception_is_raised_in_the_caller(self, exc, shares, monkeypatch):
+        shares(2)
+
+        def fail():
+            raise exc
+        _fail_in("child", fail, monkeypatch)
+        with pytest.raises(type(exc), match=str(exc)):
+            _factor_case(*_BLOCK_CASES[3])
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_own_failure_kills_the_children(self, shares, monkeypatch):
+        shares(2)
+
+        def fail():
+            raise ValueError("no pivot in the caller's share")
+        _fail_in("parent", fail, monkeypatch)
+        _fail_in("child", lambda: time.sleep(60), monkeypatch)
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="caller's share"):
+            _factor_case(*_BLOCK_CASES[3])
+        assert time.monotonic() - start < 30
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_child_without_a_result(self, shares, monkeypatch):
+        shares(2)
+        _fail_in("child", lambda: os._exit(3), monkeypatch)
+        with pytest.raises(ChildProcessError, match="exit code 3 and no result"):
+            _factor_case(*_BLOCK_CASES[3])
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_children_leave_pending_output_alone(self):
+        # a child that flushed the stdio buffers it inherited would print the
+        # caller's pending output a second time
+        script = textwrap.dedent("""
+            import os, sys
+            import pslr.ilu
+            from pslr import PslrConfig, build
+            from pslr.problems import parse_problem
+            os.sched_getaffinity = lambda pid: {0, 1}
+            pslr.ilu._SHARE_NNZ = 1
+            fork, forks = os.fork, []
+            def counted_fork():
+                forks.append(1)
+                return fork()
+            os.fork = counted_fork
+            sys.stdout.write("pending line\\n")   # a pipe: buffered, not flushed
+            build(parse_problem("lap3d:12,12,12,0.05")[1], PslrConfig(num_subdomains=8, rank=4))
+            print("forks", len(forks))
+        """)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=child_env(), timeout=120)
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        assert proc.stdout == "pending line\nforks 2\n"
 
 
 class TestPreparedSolve:

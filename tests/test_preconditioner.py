@@ -1,3 +1,4 @@
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -192,6 +193,24 @@ class TestDeterminism:
         rng = np.random.default_rng(8)
         b = rng.standard_normal(A.shape[0])
         np.testing.assert_array_equal(P1.apply_original(b), P2.apply_original(b))
+
+
+class TestFanOut:
+    def test_shares_give_the_same_solve(self, shares):
+        A = laplacian3d(ProblemSpec(12, 12, 12, shift=0.05))
+        b = matvec(A, np.random.default_rng(9).standard_normal(A.shape[0]))
+        cfg = PslrConfig(num_subdomains=8, series_degree=2, rank=6)
+        runs = []
+        for k in (1, 2):
+            forks = shares(k)
+            P = build(A, cfg)
+            _, report = gmres(lambda v: matvec(A, v), P.apply_original, b)
+            runs.append((report.iterations, report.final_relres, P.stats.fill_ilu,
+                         P.stats.fill_lowrank, P.stats.fill_total, len(forks)))
+        assert runs[0][:-1] == runs[1][:-1]
+        assert (runs[0][-1], runs[1][-1]) == (0, 2)   # one fork for B, one for C0
+        with pytest.raises(ChildProcessError):   # no child outlives the build
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestRecorrected:
