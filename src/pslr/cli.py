@@ -157,6 +157,7 @@ def _stats_payload(P: PslrPreconditioner, report, manifest: RunManifest) -> dict
         "i_t": report.time_s,
         "t_t": p_t + report.time_s,
         "final_relres": report.final_relres,
+        "history": report.history,
         "manifest": asdict(manifest),
     }
 

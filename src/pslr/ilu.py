@@ -78,7 +78,8 @@ class IluFactor:
         return self.L.nnz + self.U.nnz
 
 
-def _check_droptol(droptol: float) -> None:
+def check_droptol(droptol: float) -> None:
+    """Reject a NaN, infinite or negative drop tolerance."""
     if not 0 <= droptol < np.inf:
         raise ValueError(f"droptol must be finite and >= 0, got {droptol}")
 
@@ -97,7 +98,7 @@ def ilut(block, droptol: float = 1e-2) -> IluFactor:
     if A.shape[0] != A.shape[1]:
         raise ValueError("block must be square")
     n = A.shape[0]
-    _check_droptol(droptol)
+    check_droptol(droptol)
 
     row_norms = np.sqrt(np.asarray(A.multiply(A).sum(axis=1)).ravel()).tolist()
     a_ptr, a_idx, a_val = A.indptr.tolist(), A.indices.tolist(), A.data.tolist()
@@ -397,7 +398,7 @@ def factor_blocks(A, block_sizes, droptol: float = 1e-2) -> BlockILU:
     sizes = np.asarray(block_sizes, dtype=np.int64)
     if sizes.sum() != A.shape[0] or A.shape[0] != A.shape[1]:
         raise ValueError("block sizes do not tile the matrix")
-    _check_droptol(droptol)
+    check_droptol(droptol)
     n = A.shape[0]
     if n == 0:   # sp.block_diag raises on an empty list of blocks
         return BlockILU(n=0, nnz=0, pivot_repairs=0, lower=None, upper=None,

@@ -1,20 +1,29 @@
 """Right-preconditioned GMRES, preconditioned CG, and the Arnoldi process.
 
-Both solvers start from a zero initial guess and stop when the true-system
-relative residual ||b - A x|| / ||b|| drops below `tol`.  They solve for b
-scaled by the power of two that brings max|b| into [1/2, 1), so ||b|| can
-neither underflow nor overflow; the scaling is exact, so at ordinary scales
-the iterates are the same to the bit.  A non-finite residual, whatever
-stopped the iteration, or a solution that overflows when scaled back raises
-`ArithmeticError`.  GMRES is full (unrestarted) unless a restart length is
-given; each cycle runs `arnoldi_steps`, as `lowrank.arnoldi` does, tracks
-the residual through Givens rotations and re-measures it on the true system
-at its end.
+Both solvers keep one contract, held by `_solve`.  They start from x = 0 and
+return (x, SolveReport).  They solve for b scaled by the power of two that
+brings max|b| into [1/2, 1), so ||b|| can neither underflow nor overflow; the
+scaling is exact, so at ordinary scales the iterates are the same to the bit.
+`history` holds the relative residual of each iterate, 1.0 for x = 0 first,
+so `iterations == len(history) - 1`.  Its last entry, the true-system
+||b - A x|| / ||b|| of the returned x, is `final_relres`, and `converged`
+says whether that meets `tol`.  A zero b, or a `tol` of 1 or more, which
+x = 0 already meets, returns x = 0 after 0 iterations; a zero b reports a
+`final_relres` of 0.0.  A non-finite final residual, whatever stopped the
+iteration, or a solution that overflows when scaled back raises
+`ArithmeticError`.
+
+GMRES is full (unrestarted) unless a restart length is given; each cycle
+runs `arnoldi_steps`, as `lowrank.arnoldi` does, tracks the residual through
+Givens rotations and re-measures it on the true system at its end.  CG stops
+when its recursively updated residual meets `tol` and re-measures it once on
+the true system.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 import time
 
 import numpy as np
@@ -35,24 +44,17 @@ class NotSpdError(RuntimeError):
 @dataclass
 class SolveReport:
     converged: bool
-    iterations: int
     final_relres: float
-    history: list = field(default_factory=list)  # relative residuals: 1.0, then one per iteration
-    time_s: float = 0.0
+    history: list   # relative residuals: 1.0, then one per iteration
+    time_s: float
+
+    @property
+    def iterations(self) -> int:
+        return len(self.history) - 1
 
 
 def _identity(v):
     return v
-
-
-def _check_settings(tol, maxit, restart=0):
-    """Reject a NaN, infinite or negative `tol`, a negative `maxit` or `restart`."""
-    if not 0 <= tol < np.inf:
-        raise ValueError(f"tol must be finite and >= 0, got {tol}")
-    if maxit < 0:
-        raise ValueError(f"maxit must be >= 0, got {maxit}")
-    if restart < 0:
-        raise ValueError(f"restart must be >= 0, got {restart}")
 
 
 def _unit_scaled(b):
@@ -62,11 +64,30 @@ def _unit_scaled(b):
     return np.ldexp(b, -e), e
 
 
-def _scaled_back(x, e, solver):
+def _solve(name, iterate, apply_A, apply_M, b, tol, maxit):
+    """The contract of the module docstring around `iterate`, a solver's own
+    iteration: iterate(apply_A, apply_M, b, bnorm, tol, maxit) -> (x, history)
+    on the unit-scaled b, called only with bnorm > 0 and tol < 1."""
+    if not 0 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
+    if maxit < 0:
+        raise ValueError(f"maxit must be >= 0, got {maxit}")
+    if apply_M is None:
+        apply_M = _identity
+    t0 = time.perf_counter()
+    b, e = _unit_scaled(b)
+    bnorm = np.linalg.norm(b)
+    if bnorm == 0.0 or tol >= 1.0:   # x = 0 is the solution or meets tol
+        x, history = np.zeros_like(b), [1.0]
+    else:
+        x, history = iterate(apply_A, apply_M, b, bnorm, tol, maxit)
+    relres = history[-1] if bnorm else 0.0
+    if not np.isfinite(relres):   # whatever stopped the iteration, maxit included
+        raise ArithmeticError(f"{name} diverged: non-finite residual")
     x = np.ldexp(x, e)
     if not np.all(np.isfinite(x)):
-        raise ArithmeticError(f"{solver} diverged: the solution overflows")
-    return x
+        raise ArithmeticError(f"{name} diverged: the solution overflows")
+    return x, SolveReport(bool(relres <= tol), relres, history, time.perf_counter() - t0)
 
 
 def arnoldi_steps(op, v0, steps: int, name: str = "Arnoldi"):
@@ -111,20 +132,7 @@ def arnoldi_steps(op, v0, steps: int, name: str = "Arnoldi"):
             return
 
 
-def gmres(apply_A, apply_M, b, tol: float = 1e-8, maxit: int = 500, restart: int = 0):
-    """Solve A x = b with right preconditioning: A M^{-1} u = b, x = M^{-1} u.
-
-    `restart=0` means full GMRES.  Returns (x, SolveReport).
-    """
-    _check_settings(tol, maxit, restart)
-    if apply_M is None:
-        apply_M = _identity
-    t0 = time.perf_counter()
-    b, e = _unit_scaled(b)
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
-        return np.zeros_like(b), SolveReport(True, 0, 0.0, [1.0], time.perf_counter() - t0)
-
+def _gmres_cycles(restart, apply_A, apply_M, b, bnorm, tol, maxit):
     # the residual of x = 0 is b; each cycle leaves the residual of its x
     x = np.zeros_like(b)
     r, beta, relres = b, bnorm, 1.0
@@ -156,34 +164,27 @@ def gmres(apply_A, apply_M, b, tol: float = 1e-8, maxit: int = 500, restart: int
         beta = np.linalg.norm(r)
         relres = beta / bnorm
         history[-1] = relres  # true residual at the cycle boundary
-
-    if not np.isfinite(relres):   # whatever stopped the loop, maxit included
-        raise ArithmeticError("GMRES diverged: non-finite residual")
-    # one history entry per iteration run, also after a breakdown stop
-    report = SolveReport(bool(relres <= tol), total, relres, history, time.perf_counter() - t0)
-    return _scaled_back(x, e, "GMRES"), report
+    return x, history
 
 
-def cg(apply_A, apply_M, b, tol: float = 1e-8, maxit: int = 500):
-    """Preconditioned conjugate gradient for SPD systems; zero initial guess."""
-    _check_settings(tol, maxit)
-    if apply_M is None:
-        apply_M = _identity
-    t0 = time.perf_counter()
-    b, e = _unit_scaled(b)
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
-        return np.zeros_like(b), SolveReport(True, 0, 0.0, [1.0], time.perf_counter() - t0)
+def gmres(apply_A, apply_M, b, tol: float = 1e-8, maxit: int = 500, restart: int = 0):
+    """Solve A x = b with right preconditioning: A M^{-1} u = b, x = M^{-1} u.
 
+    `restart=0` means full GMRES.  Returns (x, SolveReport).
+    """
+    if restart < 0:
+        raise ValueError(f"restart must be >= 0, got {restart}")
+    return _solve("GMRES", partial(_gmres_cycles, restart), apply_A, apply_M, b, tol, maxit)
+
+
+def _cg_steps(apply_A, apply_M, b, bnorm, tol, maxit):
     x = np.zeros_like(b)
     r = b
     z = apply_M(r)
     p = z.copy()
     rz = r @ z
     history = [1.0]
-    relres = 1.0
-    it = 0
-    for it in range(1, maxit + 1):
+    for _ in range(maxit):
         Ap = apply_A(p)
         pAp = p @ Ap
         if pAp <= 0.0:
@@ -191,16 +192,19 @@ def cg(apply_A, apply_M, b, tol: float = 1e-8, maxit: int = 500):
         alpha = rz / pAp
         x = x + alpha * p
         r = r - alpha * Ap
-        relres = np.linalg.norm(r) / bnorm
-        if not np.isfinite(relres):
+        history.append(np.linalg.norm(r) / bnorm)
+        if not np.isfinite(history[-1]):
             raise ArithmeticError("CG diverged: non-finite residual")
-        history.append(relres)
-        if relres <= tol:
+        if history[-1] <= tol:
             break
         z = apply_M(r)
         rz_new = r @ z
         p = z + (rz_new / rz) * p
         rz = rz_new
+    history[-1] = np.linalg.norm(b - apply_A(x)) / bnorm   # the true residual
+    return x, history
 
-    report = SolveReport(bool(relres <= tol), it, relres, history, time.perf_counter() - t0)
-    return _scaled_back(x, e, "CG"), report
+
+def cg(apply_A, apply_M, b, tol: float = 1e-8, maxit: int = 500):
+    """Preconditioned conjugate gradient for SPD systems.  Returns (x, SolveReport)."""
+    return _solve("CG", _cg_steps, apply_A, apply_M, b, tol, maxit)

@@ -23,6 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .ilu import check_droptol
 from .lowrank import LowRankCorrection, apply_correction, arnoldi, build_correction
 from .partition import PartitionedSystem, classify_and_reorder, partition_graph
 from .schur import SchurContext, apply_Err, apply_neumann, build_schur_context, solve_B
@@ -51,8 +52,7 @@ class PslrConfig:
             raise ValueError("series_degree must be >= 0")
         if self.rank < 0:
             raise ValueError("rank must be >= 0")
-        if not 0 <= self.droptol < np.inf:
-            raise ValueError(f"droptol must be finite and >= 0, got {self.droptol}")
+        check_droptol(self.droptol)
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 

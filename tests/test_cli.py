@@ -42,8 +42,10 @@ class TestSolve:
     def test_stats_schema(self, tmp_path):
         _, stats = run_solve(tmp_path)
         for key in ("its", "converged", "fill_ilu", "fill_lowrank", "fill_total",
-                    "o_t", "p_t", "i_t", "t_t", "final_relres", "manifest"):
+                    "o_t", "p_t", "i_t", "t_t", "final_relres", "history", "manifest"):
             assert key in stats
+        assert len(stats["history"]) == stats["its"] + 1
+        assert stats["history"][0] == 1.0 and stats["history"][-1] == stats["final_relres"]
         assert stats["fill_total"] == pytest.approx(
             stats["fill_ilu"] + stats["fill_lowrank"])
         assert stats["manifest"]["problem"] == PROBLEM

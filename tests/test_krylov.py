@@ -51,7 +51,83 @@ def lap3d_pslr():
     return Ap, P.apply, Ap @ np.random.default_rng(0).standard_normal(Ap.shape[0])
 
 
-class TestGmres:
+class SolverContract:
+    """The promises of the `krylov` module docstring, which `_solve` keeps for
+    both solvers.  TestGmres and TestCg each run every test here, with the
+    solver and problems of their own."""
+
+    solver = None
+    zero_rhs_size = 0
+    converging = None   # (A, b, tol): a run that meets tol
+    starved = None      # (A, b, tol, maxit): a run that stops at maxit
+
+    def test_zero_rhs(self):
+        n = self.zero_rhs_size
+        x, rep = self.solver(lambda v: v, None, np.zeros(n))
+        assert rep.converged and rep.iterations == 0
+        np.testing.assert_array_equal(x, np.zeros(n))
+
+    @pytest.mark.parametrize("tol", [1.0, 2.0])
+    def test_tol_of_one_or_more_returns_zero(self, tol):
+        # the unit-scaled b is [0.75, 0, 0], of norm 0.75; x = 0 leaves relres 1
+        A = np.diag([1.0, 2.0, 3.0])
+        x, rep = self.solver(lambda v: A @ v, None, np.array([0.75, 0.0, 0.0]), tol=tol)
+        assert rep.converged and rep.iterations == 0 and rep.history == [1.0]
+        assert rep.final_relres == 1.0
+        np.testing.assert_array_equal(x, np.zeros(3))
+
+    def test_history_contract(self):
+        A, b, tol = self.converging
+        x, rep = self.solver(lambda v: A @ v, None, b, tol=tol)
+        assert rep.converged
+        assert rep.history[0] == 1.0
+        assert rep.history[-1] == rep.final_relres
+        assert len(rep.history) == rep.iterations + 1
+
+    def test_final_relres_is_the_true_residual(self):
+        A, b, tol = self.converging
+        x, rep = self.solver(lambda v: A @ v, None, b, tol=tol)
+        assert rep.final_relres == np.linalg.norm(b - A @ x) / np.linalg.norm(b)
+        assert rep.final_relres == rep.history[-1]
+
+    def test_failure_contract(self):
+        # will not converge in maxit iterations, so all of them are run and
+        # reported, with one history entry each
+        A, b, tol, maxit = self.starved
+        x, rep = self.solver(lambda v: A @ v, None, b, tol=tol, maxit=maxit)
+        assert not rep.converged
+        assert rep.iterations == maxit
+        assert len(rep.history) == maxit + 1
+        assert rep.history[0] == 1.0
+        assert rep.final_relres > tol
+
+    @pytest.mark.parametrize("maxit", [3, 500])
+    def test_converged_is_a_python_bool(self, maxit):
+        A, b, _ = self.converging
+        _, rep = self.solver(lambda v: A @ v, None, b, maxit=maxit)
+        assert type(rep.converged) is bool and rep.converged == (maxit == 500)
+
+    @pytest.mark.parametrize("k", [-600, -7, 5, 900])
+    def test_power_of_two_scaling_is_exact(self, scaling_case, k):
+        A, apply_M, b = scaling_case
+        x0, rep0 = self.solver(lambda v: A @ v, apply_M, b)
+        x, rep = self.solver(lambda v: A @ v, apply_M, np.ldexp(b, k))
+        np.testing.assert_array_equal(x, np.ldexp(x0, k))
+        assert rep.history == rep0.history
+
+
+class TestGmres(SolverContract):
+    solver = staticmethod(gmres)
+    zero_rhs_size = 4
+    # sparse, so that the residual a test recomputes is the solver's to the bit
+    converging = (sp.csr_matrix(_dense_spd(20, 7)), np.ones(20), 1e-10)
+    # indefinite and badly scaled
+    starved = (lap1d(200).toarray() - 0.5 * np.eye(200), np.ones(200), 1e-14, 5)
+
+    @pytest.fixture
+    def scaling_case(self, lap3d_pslr):
+        return lap3d_pslr
+
     def test_solves_spd_system(self):
         A = _dense_spd(30, 0)
         rng = np.random.default_rng(1)
@@ -92,25 +168,6 @@ class TestGmres:
         b = np.ones(25)
         x, rep = gmres(lambda v: A @ v, lambda v: Minv @ v, b, tol=1e-10)
         assert np.linalg.norm(b - A @ x) / np.linalg.norm(b) <= 1e-10
-
-    def test_history_contract(self):
-        A = _dense_spd(20, 7)
-        b = np.ones(20)
-        x, rep = gmres(lambda v: A @ v, None, b, tol=1e-10)
-        assert rep.history[0] == 1.0
-        assert rep.history[-1] == rep.final_relres
-        assert len(rep.history) == rep.iterations + 1
-
-    def test_failure_contract(self):
-        # indefinite and badly scaled: will not converge in 5 iterations, so
-        # all 5 are run and reported, with one history entry each
-        A = lap1d(200).toarray() - 0.5 * np.eye(200)
-        b = np.ones(200)
-        x, rep = gmres(lambda v: A @ v, None, b, tol=1e-14, maxit=5)
-        assert not rep.converged
-        assert rep.iterations == 5
-        assert len(rep.history) == 6
-        assert rep.final_relres > 1e-14
 
     def test_breakdown_short_of_tol_reports_iterations_run(self):
         # three distinct eigenvalues: the Krylov space is exhausted after 3
@@ -201,11 +258,6 @@ class TestGmres:
         assert rep.converged and cycles > (restart > 0)
         assert calls == rep.iterations + cycles
 
-    def test_zero_rhs(self):
-        x, rep = gmres(lambda v: v, None, np.zeros(4))
-        assert rep.converged and rep.iterations == 0
-        np.testing.assert_array_equal(x, np.zeros(4))
-
     def test_tol_reached_before_the_first_cycle(self):
         x, rep = gmres(lambda v: 2.0 * v, None, np.ones(4), tol=1.0)
         assert rep.converged and rep.iterations == 0 and rep.history == [1.0]
@@ -227,20 +279,6 @@ class TestGmres:
         assert rep0.converged and rep0.iterations > 10
         assert rep.converged and rep.iterations == rep0.iterations
         np.testing.assert_allclose(x * (a_scale / b_scale), x0, rtol=1e-6)
-
-    @pytest.mark.parametrize("k", [-600, -7, 5, 900])
-    def test_power_of_two_scaling_is_exact(self, lap3d_pslr, k):
-        Ap, apply_M, b = lap3d_pslr
-        x0, rep0 = gmres(lambda v: Ap @ v, apply_M, b)
-        x, rep = gmres(lambda v: Ap @ v, apply_M, np.ldexp(b, k))
-        np.testing.assert_array_equal(x, np.ldexp(x0, k))
-        assert rep.history == rep0.history
-
-    @pytest.mark.parametrize("maxit", [3, 500])
-    def test_converged_is_a_python_bool(self, maxit):
-        A = _dense_spd(20, 7)
-        _, rep = gmres(lambda v: A @ v, None, np.ones(20), maxit=maxit)
-        assert type(rep.converged) is bool and rep.converged == (maxit == 500)
 
     def test_matches_reference_iteration_count(self):
         # same operator, zero guess, same tol: iteration counts should agree
@@ -375,7 +413,16 @@ class TestNonFinite:
         assert len(calls) == 3
 
 
-class TestCg:
+class TestCg(SolverContract):
+    solver = staticmethod(cg)
+    zero_rhs_size = 3
+    converging = (sp.csr_matrix(_dense_spd(60, 10)), np.ones(60), 1e-10)
+    starved = (lap1d(400), np.ones(400), 1e-14, 10)
+
+    @pytest.fixture
+    def scaling_case(self):
+        return lap1d(100), None, np.ones(100)
+
     def test_solves_spd(self):
         A = sp.csr_matrix(_dense_spd(60, 10))
         rng = np.random.default_rng(11)
@@ -410,19 +457,6 @@ class TestCg:
             cg(apply_nan, None, np.ones(3))
         assert len(calls) == 1   # at the first non-finite residual, not after maxit
 
-    def test_history_and_failure_contract(self):
-        A = lap1d(400)
-        b = np.ones(400)
-        x, rep = cg(lambda v: A @ v, None, b, tol=1e-14, maxit=10)
-        assert not rep.converged
-        assert rep.iterations == 10
-        assert len(rep.history) == 11
-        assert rep.history[0] == 1.0
-
-    def test_zero_rhs(self):
-        x, rep = cg(lambda v: v, None, np.zeros(3))
-        assert rep.converged and rep.iterations == 0
-
     @pytest.mark.parametrize("b_scale", [1e-170, 1e160])
     def test_scale_does_not_change_the_iteration(self, b_scale):
         _, A = parse_problem("lap3d:8,8,8,0")
@@ -432,13 +466,3 @@ class TestCg:
         assert rep0.converged and rep0.iterations > 10
         assert rep.converged and rep.iterations == rep0.iterations
         np.testing.assert_allclose(x / b_scale, x0, rtol=1e-6)
-
-    @pytest.mark.parametrize("k", [-600, 900])
-    def test_power_of_two_scaling_is_exact(self, k):
-        A = lap1d(100)
-        b = np.ones(100)
-        x0, rep0 = cg(lambda v: A @ v, None, b)
-        x, rep = cg(lambda v: A @ v, None, np.ldexp(b, k))
-        np.testing.assert_array_equal(x, np.ldexp(x0, k))
-        assert rep.history == rep0.history
-        assert type(rep.converged) is bool
