@@ -20,8 +20,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "sparse": ("Permutation", "matvec", "permute_symmetric", "extract_submatrix",
                "read_matrix_market", "write_matrix_market", "MatrixMarketError"),
-    "partition": ("PartitionSpec", "PartitionedSystem", "partition_graph",
-                  "classify_and_reorder"),
+    "partition": ("PartitionedSystem", "partition_graph", "classify_and_reorder"),
     "ilu": ("IluFactor", "BlockILU", "ilut", "factor_blocks", "block_solve"),
     "schur": ("SchurContext", "build_schur_context", "apply_S", "apply_Es",
               "apply_neumann", "apply_Err"),
@@ -32,7 +31,7 @@ _EXPORTS = {
     "problems": ("ProblemSpec", "laplacian3d", "convdiff3d",
                  "count_negative_eigs_analytic"),
     "diagnostics": ("DenseOracle", "SpectrumReport", "dense_schur", "spectrum",
-                    "delta_bound", "verify_bound", "emit_spectrum_csv"),
+                    "delta_bound", "verify_bound"),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 

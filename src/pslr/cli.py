@@ -174,7 +174,7 @@ def cmd_solve(manifest: RunManifest) -> int:
     A = _load_matrix(manifest)
     P = preconditioner.build(A, _config(manifest))
     if manifest.partition_out:
-        save_assignment_json(P.system.partition, manifest.partition_out)
+        save_assignment_json(P.system.assignment, manifest.partition_out)
     _, report = _solve_with(A, P, manifest)
     _emit(json.dumps(_stats_payload(P, report, manifest), indent=2) + "\n", manifest.out)
     return 0 if report.converged else 2

@@ -153,9 +153,3 @@ def spectrum_csv(report: SpectrumReport) -> str:
     """Eigenvalues as two-column re,im CSV text, header included."""
     rows = [f"{float(lam.real)!r},{float(lam.imag)!r}" for lam in report.eigenvalues]
     return "\n".join(["re,im", *rows]) + "\n"
-
-
-def emit_spectrum_csv(report: SpectrumReport, path) -> None:
-    """Write `spectrum_csv(report)` to `path`."""
-    with open(path, "w", newline="") as fh:
-        fh.write(spectrum_csv(report))

@@ -43,7 +43,8 @@ covers about four times per solve, whatever the row holds, while leaving
 rows out costs one gather and one scatter of the rows that remain.  So
 when at least half of the rows are bare, the SuperLU objects cover only
 the other, coupled rows, and a solve divides the whole right-hand side by
-the diagonal and overwrites the coupled rows with the two sweeps.  Most
+the diagonal and overwrites the coupled rows with the two sweeps.  With no
+coupled row the objects are 0 x 0, and their sweeps do nothing.  Most
 interface vertices couple only across subdomains, outside C0, so C0's
 factors are mostly bare; B's are not, and keep objects over every row.
 """
@@ -181,9 +182,9 @@ class BlockILU:
     upper factor of a SuperLU object.  When the factors are split into bare
     and coupled rows (see the module docstring), the objects cover only the
     `coupled` rows, in increasing order, and `diag` holds U's whole
-    diagonal; otherwise both are None and the objects cover every row.  The
-    objects are None when they would cover no row.  An empty system is
-    split, with no coupled rows.
+    diagonal; otherwise both are None and the objects cover every row.
+    With no coupled row the objects are 0 x 0, and solve empty right-hand
+    sides.  An empty system is split, with no coupled rows.
 
     The read-only `L` and `U` convert the factors back to CSR on each read;
     SuperLU does not store the exact zeros ILUT may keep, so those are
@@ -194,25 +195,25 @@ class BlockILU:
     n: int
     nnz: int
     pivot_repairs: int
-    lower: SuperLU | None
-    upper: SuperLU | None
+    lower: SuperLU
+    upper: SuperLU
     coupled: np.ndarray | None = None
     diag: np.ndarray | None = None
 
     @property
     def L(self) -> sp.csr_matrix:
-        return self._read(self.lower.U.T if self.lower else None, np.ones(self.n))
+        return self._read(self.lower.U.T, np.ones(self.n))
 
     @property
     def U(self) -> sp.csr_matrix:
-        return self._read(self.upper.U if self.upper else None, self.diag)
+        return self._read(self.upper.U, self.diag)
 
     def _read(self, T, diag) -> sp.csr_matrix:
         """The n x n CSR factor: `T` on the covered rows, `diag` on the bare ones."""
         if self.coupled is None:
             return canonical(T)
         bare = np.setdiff1d(np.arange(self.n), self.coupled)
-        T = sp.coo_matrix(T if T is not None else (0, 0))
+        T = sp.coo_matrix(T)
         rows = np.concatenate([bare, self.coupled[T.row]])
         cols = np.concatenate([bare, self.coupled[T.col]])
         vals = np.concatenate([diag[bare], T.data])
@@ -396,13 +397,12 @@ def factor_blocks(A, block_sizes, droptol: float = 1e-2) -> BlockILU:
     or raises, and an exception a child raised is raised here."""
     A = canonical(A)
     sizes = np.asarray(block_sizes, dtype=np.int64)
-    if sizes.sum() != A.shape[0] or A.shape[0] != A.shape[1]:
+    if sizes.sum() != A.shape[0] or A.shape[0] != A.shape[1] or np.any(sizes < 0):
         raise ValueError("block sizes do not tile the matrix")
     check_droptol(droptol)
     n = A.shape[0]
-    if n == 0:   # sp.block_diag raises on an empty list of blocks
-        return BlockILU(n=0, nnz=0, pivot_repairs=0, lower=None, upper=None,
-                        coupled=np.empty(0, np.int64), diag=np.empty(0))
+    if not sizes.size:   # one empty block for none, as sp.block_diag raises on no blocks
+        sizes = np.zeros(1, np.int64)
     factors = _ilut_blocks(A, np.concatenate([[0], np.cumsum(sizes)]), droptol)
     # both reach SuperLU in CSC with no conversion copy: the transpose of
     # L's CSR is CSC as it stands, and U is assembled in CSC
@@ -417,12 +417,9 @@ def factor_blocks(A, block_sizes, droptol: float = 1e-2) -> BlockILU:
         coupled = np.flatnonzero(~bare)
         diag = U.diagonal()
         Lt, U = Lt[coupled][:, coupled], U[coupled][:, coupled]
-    lower = upper = None
-    if Lt.shape[0]:
-        lower, upper = _prepare(Lt), _prepare(U)
     return BlockILU(n=n, nnz=sum(f.nnz for f in factors),
                     pivot_repairs=sum(f.pivot_repairs for f in factors),
-                    lower=lower, upper=upper, coupled=coupled, diag=diag)
+                    lower=_prepare(Lt), upper=_prepare(U), coupled=coupled, diag=diag)
 
 
 def block_solve(filu: BlockILU, rhs) -> np.ndarray:
@@ -434,7 +431,5 @@ def block_solve(filu: BlockILU, rhs) -> np.ndarray:
     if filu.coupled is None:
         return filu.upper.solve(filu.lower.solve(rhs, trans="T"))
     out = rhs / (filu.diag if rhs.ndim == 1 else filu.diag[:, None])
-    if filu.upper is not None:
-        c = filu.coupled
-        out[c] = filu.upper.solve(filu.lower.solve(rhs[c], trans="T"))
+    out[filu.coupled] = filu.upper.solve(filu.lower.solve(rhs[filu.coupled], trans="T"))
     return out

@@ -1,13 +1,18 @@
 """Graph partitioning and interior/interface block reordering.
 
 The partitioner is recursive BFS (level-set) bisection on the symmetrized
-adjacency pattern.  After partitioning, vertices with a cross-subdomain edge
+adjacency pattern.  A partition is its assignment array, vertex -> subdomain
+number, and nothing else; `classify_and_reorder` derives the rest from it in
+one pass over the stored entries.  Vertices with a cross-subdomain entry
 become interface vertices; the system is reordered so each subdomain's
 interior variables are contiguous and all interface variables come last,
 yielding the 2x2 block form
 
     [ B  E ]        B block diagonal over subdomain interiors,
     [ F  C ]        C carrying the interface couplings.
+
+Every cross-subdomain entry joins two interface vertices, so the same pass
+also gives Cg = C - C0, the entries of C outside its diagonal blocks.
 """
 
 from __future__ import annotations
@@ -20,14 +25,6 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .sparse import Permutation, canonical, extract_submatrix, permute_symmetric
-
-
-@dataclass(frozen=True)
-class PartitionSpec:
-    """Assignment of every vertex to one of `num_parts` subdomains."""
-
-    num_parts: int
-    assignment: np.ndarray
 
 
 @dataclass
@@ -45,11 +42,11 @@ class PartitionedSystem:
     q: int                         # interface dimension
     interior_sizes: np.ndarray     # per-subdomain interior counts
     interface_sizes: np.ndarray    # per-subdomain interface counts
-    B: sp.csr_matrix = field(repr=False, default=None)
-    E: sp.csr_matrix = field(repr=False, default=None)
-    F: sp.csr_matrix = field(repr=False, default=None)
-    C: sp.csr_matrix = field(repr=False, default=None)
-    partition: PartitionSpec = field(repr=False, default=None)   # the split reordered here
+    B: sp.csr_matrix = field(repr=False)
+    E: sp.csr_matrix = field(repr=False)
+    F: sp.csr_matrix = field(repr=False)
+    C: sp.csr_matrix = field(repr=False)
+    Cg: sp.csr_matrix = field(repr=False)   # C - C0, with no stored zero
 
     @property
     def n(self) -> int:
@@ -58,6 +55,12 @@ class PartitionedSystem:
     @property
     def num_parts(self) -> int:
         return len(self.interior_sizes)
+
+    @property
+    def assignment(self) -> np.ndarray:
+        """The vertex -> subdomain map this system was reordered from."""
+        sizes = np.concatenate([self.interior_sizes, self.interface_sizes])
+        return np.repeat(np.tile(np.arange(self.num_parts), 2), sizes)[self.perm.forward]
 
 
 def _adjacency(A) -> sp.csr_matrix:
@@ -112,8 +115,9 @@ def _bisect(adj, vertices, parts, next_id, assignment):
     return _bisect(adj, right, right_parts, next_id, assignment)
 
 
-def partition_graph(A, num_parts: int) -> PartitionSpec:
-    """Partition A's adjacency graph into `num_parts` balanced subdomains."""
+def partition_graph(A, num_parts: int) -> np.ndarray:
+    """Partition A's adjacency graph into `num_parts` balanced subdomains:
+    the subdomain number, 0 to num_parts - 1, of every vertex."""
     A = canonical(A)
     if A.shape[0] != A.shape[1]:
         raise ValueError("matrix must be square")
@@ -125,17 +129,21 @@ def partition_graph(A, num_parts: int) -> PartitionSpec:
     adj = _adjacency(A)
     assignment = np.full(n, -1, dtype=np.int64)
     _bisect(adj, np.arange(n, dtype=np.int64), num_parts, 0, assignment)
-    return PartitionSpec(num_parts=num_parts, assignment=assignment)
+    return assignment
 
 
-def classify_and_reorder(A, spec: PartitionSpec) -> PartitionedSystem:
-    """Classify vertices as interior/interface and build the block system."""
+def classify_and_reorder(A, assignment) -> PartitionedSystem:
+    """Classify vertices as interior/interface and build the block system.
+
+    `assignment[i]` is vertex i's subdomain number; the subdomains are
+    numbered 0 to its max, and a number no vertex takes has empty blocks."""
     A = canonical(A)
     n = A.shape[0]
-    if spec.assignment.shape[0] != n:
-        raise ValueError("partition does not cover the matrix")
-    part = spec.assignment
-    s = spec.num_parts
+    part = np.asarray(assignment)
+    if part.shape != (n,) or part.dtype.kind not in "iu" or np.any(part < 0):
+        raise ValueError(f"assignment must give each of the {n} vertices a subdomain >= 0")
+    part = part.astype(np.int64, copy=False)
+    s = int(part.max(initial=-1)) + 1
 
     # interface <=> an endpoint of a stored entry that couples two subdomains;
     # marking both endpoints gives the same set as the symmetrized pattern
@@ -156,24 +164,30 @@ def classify_and_reorder(A, spec: PartitionSpec) -> PartitionedSystem:
     interior_sizes = np.bincount(part[~is_interface], minlength=s)
     interface_sizes = np.bincount(part[is_interface], minlength=s)
     p = int(interior_sizes.sum())
+    q = n - p
     lo = np.arange(p)
     hi = np.arange(p, n)
+    # the cross-subdomain entries renumbered into C are its entries off the
+    # diagonal blocks; stored zeros are dropped, as C - C0 keeps none
+    kept = cross & (A.data != 0)
+    into_C = forward - p
+    Cg = sp.csr_matrix((A.data[kept], (into_C[rows[kept]], into_C[A.indices[kept]])), shape=(q, q))
     return PartitionedSystem(
         matrix=reordered,
         perm=perm,
         p=p,
-        q=n - p,
+        q=q,
         interior_sizes=interior_sizes,
         interface_sizes=interface_sizes,
         B=extract_submatrix(reordered, lo, lo),
         E=extract_submatrix(reordered, lo, hi),
         F=extract_submatrix(reordered, hi, lo),
         C=extract_submatrix(reordered, hi, hi),
-        partition=spec,
+        Cg=canonical(Cg),
     )
 
 
-def save_assignment_json(spec: PartitionSpec, path) -> None:
+def save_assignment_json(assignment, path) -> None:
     """Dump the vertex -> subdomain map as a JSON array."""
     with open(path, "w") as fh:
-        json.dump([int(x) for x in spec.assignment], fh)
+        json.dump([int(x) for x in assignment], fh)

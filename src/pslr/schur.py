@@ -16,11 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .ilu import BlockILU, block_solve, factor_blocks
 from .partition import PartitionedSystem
-from .sparse import canonical
 
 
 @dataclass
@@ -30,21 +28,10 @@ class SchurContext:
     system: PartitionedSystem
     b_ilu: BlockILU
     c0_ilu: BlockILU    # factors of C0, the diagonal blocks of C
-    Cg: sp.csr_matrix   # C - C0, the cross-subdomain interface couplings
 
     @property
     def q(self) -> int:
         return self.system.q
-
-
-def _off_blocks(C, sizes) -> sp.csr_matrix:
-    """The entries of C outside its diagonal blocks of the given sizes, with
-    no stored zeros, as C - C0 would keep none."""
-    C = canonical(C)
-    block_of = np.repeat(np.arange(len(sizes)), sizes)
-    rows = np.repeat(np.arange(C.shape[0]), np.diff(C.indptr))
-    off = (block_of[rows] != block_of[C.indices]) & (C.data != 0)
-    return canonical(sp.csr_matrix((C.data[off], (rows[off], C.indices[off])), shape=C.shape))
 
 
 def build_schur_context(ps: PartitionedSystem, droptol: float = 1e-2) -> SchurContext:
@@ -52,8 +39,7 @@ def build_schur_context(ps: PartitionedSystem, droptol: float = 1e-2) -> SchurCo
     is never formed, as `factor_blocks` reads only C's diagonal blocks."""
     return SchurContext(system=ps,
                         b_ilu=factor_blocks(ps.B, ps.interior_sizes, droptol=droptol),
-                        c0_ilu=factor_blocks(ps.C, ps.interface_sizes, droptol=droptol),
-                        Cg=_off_blocks(ps.C, ps.interface_sizes))
+                        c0_ilu=factor_blocks(ps.C, ps.interface_sizes, droptol=droptol))
 
 
 def _check_len(ctx, v) -> np.ndarray:
@@ -80,7 +66,7 @@ def apply_S(ctx: SchurContext, v) -> np.ndarray:
 def apply_Es(ctx: SchurContext, v) -> np.ndarray:
     """Es v = (C0 - C) v + F B^{-1} (E v); equals C0 v - S v to roundoff."""
     v = _check_len(ctx, v)
-    return ctx.system.F @ solve_B(ctx, ctx.system.E @ v) - ctx.Cg @ v
+    return ctx.system.F @ solve_B(ctx, ctx.system.E @ v) - ctx.system.Cg @ v
 
 
 def apply_neumann(ctx: SchurContext, m: int, v) -> np.ndarray:

@@ -25,8 +25,12 @@ class MatrixMarketError(ValueError):
 
 
 def canonical(A) -> sp.csr_matrix:
-    """Return A as CSR with float64 values, sorted indices, summed duplicates."""
-    A = sp.csr_matrix(A, dtype=np.float64, copy=False)
+    """Return A as CSR with float64 values, sorted indices, summed duplicates.
+    A complex A is rejected: the cast would keep only its real part."""
+    A = sp.csr_matrix(A, copy=False)
+    if A.dtype.kind == "c":
+        raise ValueError(f"complex matrices are not supported (dtype {A.dtype})")
+    A = A.astype(np.float64, copy=False)
     A.sum_duplicates()
     A.sort_indices()
     return A
@@ -178,6 +182,7 @@ def write_matrix_market(A, path) -> None:
     `read_matrix_market` gets every value back to the bit."""
     from scipy.io import mmwrite   # here: importing scipy.io adds about 16 ms to every run
 
+    A = canonical(A)   # before the file is made, so a rejected A leaves none
     # through an open file, as mmwrite given a path appends ".mtx" to it
     with open(path, "wb") as fh:
-        mmwrite(fh, canonical(A), field="real", precision=17, symmetry="general")
+        mmwrite(fh, A, field="real", precision=17, symmetry="general")

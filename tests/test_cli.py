@@ -16,6 +16,7 @@ import pslr.ilu
 import pslr.preconditioner
 from pslr.cli import build_parser, main
 from pslr.diagnostics import dense_schur
+from pslr.partition import partition_graph
 from pslr.problems import parse_problem
 from pslr.sparse import write_matrix_market
 
@@ -232,6 +233,8 @@ class TestSolve:
         assert code == 0
         parts = json.loads(pj.read_text())
         assert len(parts) == 216 and set(parts) == {0, 1, 2, 3}
+        # the dump, derived from the reordered system, is the partition itself
+        assert parts == partition_graph(parse_problem(PROBLEM)[1], 4).tolist()
 
     def test_pslr_environment_is_ignored(self):
         # flags are the only way to set a run: PSLR_* variables left in the
@@ -546,12 +549,12 @@ class TestSpectrum:
                                        "--target", "bogus"])
 
 
-# every public name `pslr/__init__.py` has exported since the first release;
-# the package resolves them lazily, so a typo there would only show on use
+# every public name `pslr/__init__.py` exports; the package resolves them
+# lazily, so a typo there would only show on use
 PUBLIC_NAMES = (
     "Permutation", "matvec", "permute_symmetric", "extract_submatrix",
     "read_matrix_market", "write_matrix_market", "MatrixMarketError",
-    "PartitionSpec", "PartitionedSystem", "partition_graph", "classify_and_reorder",
+    "PartitionedSystem", "partition_graph", "classify_and_reorder",
     "IluFactor", "BlockILU", "ilut", "factor_blocks", "block_solve",
     "SchurContext", "build_schur_context", "apply_S", "apply_Es", "apply_neumann",
     "apply_Err",
@@ -561,7 +564,7 @@ PUBLIC_NAMES = (
     "SolveReport", "NotSpdError", "gmres", "cg",
     "ProblemSpec", "laplacian3d", "convdiff3d", "count_negative_eigs_analytic",
     "DenseOracle", "SpectrumReport", "dense_schur", "spectrum", "delta_bound",
-    "verify_bound", "emit_spectrum_csv",
+    "verify_bound",
     "__version__",
 )
 

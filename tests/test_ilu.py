@@ -319,6 +319,15 @@ class TestBlockFactors:
         with pytest.raises(ValueError):
             factor_blocks(sp.identity(5, format="csr"), [2, 2])
 
+    @pytest.mark.parametrize("sizes", [[-1, 4], [2, -1, 2], [4, -1]])
+    def test_negative_block_size_rejected(self, sizes, shares):
+        # the sizes sum to 3, but offsets such as [0, -1, 3] would slice
+        # A[0:-1, 0:-1] and A[-1:3, -1:3]: rejected before anything forks
+        forks = shares(2)
+        with pytest.raises(ValueError, match="block sizes do not tile the matrix"):
+            factor_blocks(random_sparse(3, seed=1), sizes, droptol=0.0)
+        assert forks == []
+
     def test_rhs_length_checked(self):
         bf = factor_blocks(sp.identity(4, format="csr"), [2, 2])
         with pytest.raises(ValueError):
@@ -592,9 +601,10 @@ class TestPreparedSolve:
         assert bf.lower.shape == ((9, 9) if split else (n, n))
 
     def test_all_diagonal_needs_no_superlu(self):
+        # no coupled row: the two SuperLU objects are 0 x 0 and sweep nothing
         d = np.array([2.0, -3.0, 0.5, 7.0, -1.25, 4.0])
         bf = factor_blocks(sp.diags(d, format="csr"), [2, 4], droptol=1e-2)
-        assert bf.coupled.size == 0 and bf.lower is None and bf.upper is None
+        assert bf.coupled.size == 0 and bf.lower.shape == bf.upper.shape == (0, 0)
         _assert_same_csr(bf.L, sp.identity(6, format="csr"))
         _assert_same_csr(bf.U, sp.diags(d, format="csr"))
         rhs = np.random.default_rng(36).standard_normal((6, 2))

@@ -19,33 +19,33 @@ from conftest import lap1d, partitioned, random_sparse
 
 class TestPartitionGraph:
     def test_covers_all_vertices(self):
-        spec = partition_graph(lap1d(20), 4)
-        assert np.all(spec.assignment >= 0)
-        assert set(np.unique(spec.assignment)) == {0, 1, 2, 3}
+        part = partition_graph(lap1d(20), 4)
+        assert part.dtype == np.int64 and part.shape == (20,)
+        assert set(np.unique(part)) == {0, 1, 2, 3}
 
     def test_single_part(self):
-        spec = partition_graph(lap1d(5), 1)
-        np.testing.assert_array_equal(spec.assignment, np.zeros(5))
+        part = partition_graph(lap1d(5), 1)
+        np.testing.assert_array_equal(part, np.zeros(5))
 
     def test_path_graph_split_contiguous(self):
         # BFS from vertex 0 on a path visits in index order, so bisection
         # of a 1D Laplacian gives two contiguous halves
-        spec = partition_graph(lap1d(6), 2)
-        np.testing.assert_array_equal(spec.assignment, [0, 0, 0, 1, 1, 1])
+        part = partition_graph(lap1d(6), 2)
+        np.testing.assert_array_equal(part, [0, 0, 0, 1, 1, 1])
 
     def test_balance(self):
         for s in (2, 3, 5, 8):
-            spec = partition_graph(laplacian3d(ProblemSpec(8, 8, 8)), s)
-            counts = np.bincount(spec.assignment, minlength=s)
+            part = partition_graph(laplacian3d(ProblemSpec(8, 8, 8)), s)
+            counts = np.bincount(part, minlength=s)
             assert counts.min() >= 0.5 * counts.max()
 
     def test_disconnected_components(self):
         # two disjoint 3-paths: each component should become one part
         A = sp.block_diag([lap1d(3), lap1d(3)], format="csr")
-        spec = partition_graph(A, 2)
-        assert len(set(spec.assignment[:3])) == 1
-        assert len(set(spec.assignment[3:])) == 1
-        assert spec.assignment[0] != spec.assignment[3]
+        part = partition_graph(A, 2)
+        assert len(set(part[:3])) == 1
+        assert len(set(part[3:])) == 1
+        assert part[0] != part[3]
 
     def test_too_many_parts(self):
         with pytest.raises(ValueError):
@@ -81,8 +81,8 @@ class TestPartitionGraph:
 
     def test_deterministic(self):
         A = random_sparse(100, seed=3)
-        a = partition_graph(A, 6).assignment
-        b = partition_graph(A, 6).assignment
+        a = partition_graph(A, 6)
+        b = partition_graph(A, 6)
         np.testing.assert_array_equal(a, b)
 
 
@@ -122,9 +122,8 @@ class TestClassifyAndReorder:
         A = lap3d_small_system[0]
         if one_way:
             A = sp.tril(A, format="csr")
-        spec = partition_graph(A, 4)
-        ps = classify_and_reorder(A, spec)
-        part = spec.assignment
+        part = partition_graph(A, 4)
+        ps = classify_and_reorder(A, part)
         coo = A.tocoo()
         off = coo.row != coo.col
         cross = np.zeros(A.shape[0], dtype=bool)
@@ -151,6 +150,33 @@ class TestClassifyAndReorder:
         _, rep = gmres(lambda v: A @ v, P.apply_original, b)
         assert rep.converged
 
+    @pytest.mark.parametrize("assignment", [
+        [0, 0, 0, 1, 1],
+        [0, 0, 0, 1, 1, 1, 1],
+        [0, 0, -1, 1, 1, 1],
+        [0.0, 0.0, 0.0, 1.0, 1.0, 1.0],
+        [False, False, False, True, True, True],
+    ], ids=["short", "long", "negative", "float", "bool"])
+    def test_bad_assignment_rejected(self, assignment):
+        with pytest.raises(ValueError, match="assignment must give each of the 6 vertices"):
+            classify_and_reorder(lap1d(6), np.array(assignment))
+
+    def test_skipped_subdomain_number_has_empty_blocks(self):
+        # subdomains are numbered 0 to the largest number given; 1 has no vertex
+        part = np.array([0, 0, 0, 2, 2, 2])
+        ps = classify_and_reorder(lap1d(6), part)
+        assert ps.num_parts == 3
+        np.testing.assert_array_equal(ps.interior_sizes, [2, 0, 2])
+        np.testing.assert_array_equal(ps.interface_sizes, [1, 0, 1])
+        np.testing.assert_array_equal(ps.assignment, part)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint64])
+    def test_any_integer_dtype(self, lap3d_small_system, dtype):
+        A, ps = lap3d_small_system
+        other = classify_and_reorder(A, ps.assignment.astype(dtype))
+        np.testing.assert_array_equal(other.perm.forward, ps.perm.forward)
+        np.testing.assert_array_equal(other.interface_sizes, ps.interface_sizes)
+
     def test_sizes_consistent(self, lap3d_small_system):
         _, ps = lap3d_small_system
         assert ps.interior_sizes.sum() == ps.p
@@ -163,8 +189,8 @@ class TestClassifyAndReorder:
 
 def test_save_assignment_json(tmp_path):
     import json
-    spec = partition_graph(lap1d(6), 2)
+    part = partition_graph(lap1d(6), 2)
     path = tmp_path / "parts.json"
-    save_assignment_json(spec, path)
+    save_assignment_json(part, path)
     data = json.loads(path.read_text())
-    np.testing.assert_array_equal(data, spec.assignment)
+    np.testing.assert_array_equal(data, part)

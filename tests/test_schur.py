@@ -4,9 +4,9 @@ import scipy.sparse as sp
 
 from pslr.diagnostics import dense_schur
 from pslr.ilu import factor_blocks
+from pslr.partition import classify_and_reorder
 from pslr.problems import parse_problem
 from pslr.schur import (
-    _off_blocks,
     apply_Err,
     apply_Es,
     apply_S,
@@ -103,7 +103,7 @@ class TestContextStructure:
         C = ps.C.toarray()
         block_of = np.repeat(np.arange(ps.num_parts), ps.interface_sizes)
         mask = block_of[:, None] == block_of[None, :]
-        np.testing.assert_array_equal(C - ctx.Cg.toarray(), np.where(mask, C, 0.0))
+        np.testing.assert_array_equal(C - ps.Cg.toarray(), np.where(mask, C, 0.0))
 
     @pytest.mark.parametrize("problem,s,droptol", [
         ("lap3d:8,8,8,0.3", 6, 1e-2),
@@ -124,11 +124,14 @@ class TestContextStructure:
                 np.testing.assert_array_equal(getattr(a, attr), getattr(b, attr))
 
     def test_split_keeps_no_stored_zero_off_the_blocks(self):
-        # stored zeros at (0, 2) and (2, 0) lie off the two 2x2 blocks; C - C0
-        # drops them, and so must Cg
-        C = sp.csr_matrix(([1.0, 0.0, 2.0, 0.0, 3.0, 4.0],
+        # the stored zeros at (0, 2) and (2, 0) couple the two subdomains, so
+        # all four vertices are interface vertices and C is A; the zeros lie
+        # off C's two 2x2 blocks, C - C0 drops them, and so must Cg
+        A = sp.csr_matrix(([1.0, 0.0, 2.0, 0.0, 3.0, 4.0],
                            ([0, 0, 1, 2, 2, 3], [1, 2, 3, 0, 2, 3])), shape=(4, 4))
-        Cg = _off_blocks(C, [2, 2])
+        ps = classify_and_reorder(A, np.array([0, 0, 1, 1]))
+        C, Cg = ps.C, ps.Cg
+        assert ps.p == 0 and (C != A).nnz == 0
         C0 = block_diagonal(C, [2, 2])
         want = canonical(C - C0)
         for name in ("indptr", "indices", "data"):

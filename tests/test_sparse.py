@@ -2,15 +2,62 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from pslr.ilu import factor_blocks, ilut
+from pslr.partition import classify_and_reorder, partition_graph
+from pslr.preconditioner import PslrConfig, build
 from pslr.sparse import (
     MatrixMarketError,
     Permutation,
+    canonical,
     extract_submatrix,
     matvec,
     permute_symmetric,
     read_matrix_market,
     write_matrix_market,
 )
+
+
+# every public entry that takes a matrix, each reading it through `canonical`
+_ENTRIES = {
+    "build": lambda A, path: build(A, PslrConfig(num_subdomains=2, rank=1)),
+    "ilut": lambda A, path: ilut(A),
+    "factor_blocks": lambda A, path: factor_blocks(A, [2, 2]),
+    "partition_graph": lambda A, path: partition_graph(A, 2),
+    "classify_and_reorder": lambda A, path: classify_and_reorder(A, np.array([0, 0, 1, 1])),
+    "permute_symmetric": lambda A, path: permute_symmetric(A, Permutation.identity(4)),
+    "extract_submatrix": lambda A, path: extract_submatrix(A, [0, 1], [2, 3]),
+    "write_matrix_market": lambda A, path: write_matrix_market(A, path),
+}
+
+
+class TestCanonical:
+    @pytest.mark.parametrize("entry", list(_ENTRIES))
+    def test_complex_rejected_where_it_enters(self, entry, tmp_path):
+        # a zero imaginary part is rejected too: the dtype decides, before any
+        # cast could drop the imaginary part with only a ComplexWarning
+        A = sp.csr_matrix(np.diag([4.0, 4.0, 4.0, 4.0]) - np.eye(4, k=1) - np.eye(4, k=-1))
+        _ENTRIES[entry](A, tmp_path / "real.mtx")
+        with pytest.raises(ValueError, match="complex matrices are not supported"):
+            _ENTRIES[entry](A.astype(np.complex128), tmp_path / "complex.mtx")
+        assert not (tmp_path / "complex.mtx").exists()
+
+    @pytest.mark.parametrize("make", [np.array, sp.csr_matrix, sp.coo_array],
+                             ids=["dense", "csr", "coo"])
+    def test_complex_rejected_in_any_container(self, make):
+        with pytest.raises(ValueError, match="dtype complex64"):
+            canonical(make(np.eye(3, dtype=np.complex64)))
+
+    def test_real_input_keeps_its_bits(self):
+        # signed zeros, a subnormal, the largest finite value and an unsorted row
+        A = sp.csr_matrix(([-0.0, 5e-324, -1.7976931348623157e308, 1 / 3, 0.1],
+                           [2, 0, 1, 0, 1], [0, 3, 5]), shape=(2, 3))
+        want = A.toarray()
+        C = canonical(A)
+        assert C.dtype == np.float64 and C.has_canonical_format
+        np.testing.assert_array_equal(C.toarray().view(np.int64), want.view(np.int64))
+        for dtype in (np.float32, np.int16):
+            M = np.array([[3, -7], [11, 2]], dtype=dtype)
+            np.testing.assert_array_equal(canonical(M).toarray(), M.astype(np.float64))
 
 
 class TestMatvec:
