@@ -17,7 +17,6 @@ from pslr import (
     count_negative_eigs_analytic,
     gmres,
     laplacian3d,
-    matvec,
 )
 
 
@@ -28,9 +27,9 @@ def main():
           f"{count_negative_eigs_analytic(spec)} negative eigenvalues")
 
     rng = np.random.default_rng(0)
-    b = matvec(A, rng.standard_normal(A.shape[0]))
+    b = A @ rng.standard_normal(A.shape[0])
 
-    _, plain = gmres(lambda v: matvec(A, v), None, b, tol=1e-8, maxit=500)
+    _, plain = gmres(lambda v: A @ v, None, b, tol=1e-8, maxit=500)
     print(f"unpreconditioned GMRES: converged={plain.converged} "
           f"in {plain.iterations} iterations")
 
@@ -42,8 +41,8 @@ def main():
     print(f"fill: ilu {st.fill_ilu:.2f} + low-rank {st.fill_lowrank:.2f} "
           f"= {st.fill_total:.2f} x nnz(A), built in {sum(P.stage_s):.2f}s")
 
-    x, rep = gmres(lambda v: matvec(A, v), P.apply_original, b, tol=1e-8)
-    relres = np.linalg.norm(b - matvec(A, x)) / np.linalg.norm(b)
+    x, rep = gmres(lambda v: A @ v, P.apply_original, b, tol=1e-8)
+    relres = np.linalg.norm(b - A @ x) / np.linalg.norm(b)
     print(f"preconditioned GMRES:   converged={rep.converged} "
           f"in {rep.iterations} iterations, true relres {relres:.2e}")
 

@@ -10,19 +10,19 @@ Run:  python demos/04_parameter_sweeps.py
 
 import numpy as np
 
-from pslr import PslrConfig, ProblemSpec, build, gmres, laplacian3d, matvec
+from pslr import PslrConfig, ProblemSpec, build, gmres, laplacian3d
 
 
 def main():
     A = laplacian3d(ProblemSpec(16, 16, 16, shift=0.1))
-    b = matvec(A, np.random.default_rng(0).standard_normal(A.shape[0]))
+    b = A @ np.random.default_rng(0).standard_normal(A.shape[0])
     # one partition and one set of ILU factors; each row derives its correction
     base = build(A, PslrConfig(num_subdomains=12, series_degree=3, rank=30,
                                droptol=1e-2, seed=0))
 
     def solve(m, rank):
         P = base.recorrected(m, rank)
-        _, rep = gmres(lambda v: matvec(A, v), P.apply_original, b, tol=1e-8)
+        _, rep = gmres(lambda v: A @ v, P.apply_original, b, tol=1e-8)
         return P, rep
 
     print("series-degree sweep (rank 15):")

@@ -18,7 +18,7 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "sparse": ("Permutation", "matvec", "permute_symmetric", "extract_submatrix",
+    "sparse": ("Permutation", "permute_symmetric", "extract_submatrix",
                "read_matrix_market", "write_matrix_market", "MatrixMarketError"),
     "partition": ("PartitionedSystem", "partition_graph", "classify_and_reorder"),
     "ilu": ("IluFactor", "BlockILU", "ilut", "factor_blocks", "block_solve"),

@@ -20,7 +20,8 @@ The blocks of one matrix are factored in as many processes as the
 affinity mask has CPUs, each with a contiguous share of the blocks of about
 equal nnz, and no share smaller than a fork is worth (see
 `factor_blocks`).  The children are forked, so they read
-the matrix from the memory they inherit, and each sends its factors back
+the matrix from the memory they inherit; each pins itself to a CPU of its
+own, the caller's mask is left as it is, and each sends its factors back
 through a pipe, pickled.  Only the ILUT row loop runs in them; the factors
 are assembled and prepared in the caller's process.  A block's factors
 depend on nothing but the block and droptol, so they are the same bits
@@ -80,8 +81,8 @@ class IluFactor:
 
 
 def check_droptol(droptol: float) -> None:
-    """Reject a NaN, infinite or negative drop tolerance."""
-    if not 0 <= droptol < np.inf:
+    """Reject a NaN, infinite or negative drop tolerance, and a bool."""
+    if isinstance(droptol, (bool, np.bool_)) or not 0 <= droptol < np.inf:
         raise ValueError(f"droptol must be finite and >= 0, got {droptol}")
 
 
@@ -273,15 +274,6 @@ def _cpus() -> list[int]:
     return sorted(os.sched_getaffinity(0))
 
 
-def _pin(cpus) -> bool:
-    """Restrict the calling thread to `cpus`; False where the OS refuses."""
-    try:
-        os.sched_setaffinity(0, cpus)
-    except OSError:
-        return False
-    return True
-
-
 def _shares(weights, k: int) -> list[tuple[int, int]]:
     """Split blocks 0..len(weights)-1 into at most k contiguous [lo, hi)
     ranges of about equal total weight; no range is empty."""
@@ -319,7 +311,10 @@ def _fork_share(A, offsets, share, droptol, cpu):
         code = 1
         try:
             os.close(r)
-            _pin({cpu})
+            try:   # a child left on its parent's CPU would share it with the caller
+                os.sched_setaffinity(0, {cpu})
+            except OSError:
+                pass
             try:
                 result = (True, _ilut_range(A, offsets, *share, droptol))
             except BaseException as exc:
@@ -338,7 +333,8 @@ def _fork_share(A, offsets, share, droptol, cpu):
 def _ilut_blocks(A, offsets, droptol) -> list[IluFactor]:
     """ILUT of every block, in shares of about equal nnz: the caller's
     thread factors the first share, and a forked child each other one, each
-    on a CPU of its own.  The factors come back in block order."""
+    child pinned to a CPU of its own; the caller's mask is left as it is.
+    The factors come back in block order."""
     nblocks = offsets.size - 1
     cpus = _cpus()
     weights = np.diff(A.indptr[offsets])
@@ -346,9 +342,6 @@ def _ilut_blocks(A, offsets, droptol) -> list[IluFactor]:
     shares = _shares(weights, max(1, k))
     factors: list[IluFactor] = [None] * nblocks
     own, children = shares[:1], {}   # children: pid -> (read end, share)
-    # a forked child starts on its parent's CPU, and the scheduler can leave
-    # both there for the whole factorization, so every process is pinned
-    pinned = len(shares) > 1 and _pin({cpus[0]})
     try:
         for share, cpu in zip(shares[1:], cpus[1:]):
             child = _fork_share(A, offsets, share, droptol, cpu)
@@ -375,8 +368,6 @@ def _ilut_blocks(A, offsets, droptol) -> list[IluFactor]:
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        if pinned:
-            _pin(cpus)
         for pid, (pipe, _) in children.items():
             pipe.close()
             os.waitpid(pid, 0)
@@ -391,10 +382,12 @@ def factor_blocks(A, block_sizes, droptol: float = 1e-2) -> BlockILU:
     mask, but no more than there are blocks, or multiples of `_SHARE_NNZ`
     entries in the blocks' rows.  The block list is cut into k contiguous
     shares of about equal nnz; the calling thread factors the first, and a
-    forked child each of the others.  Each block's ILUT is independent and
-    deterministic, and pickle carries its factors back bit for bit, so the
-    result does not depend on k.  Every child has ended when this returns
-    or raises, and an exception a child raised is raised here."""
+    forked child, pinned to a CPU of its own, each of the others; the
+    caller's affinity mask is not changed.  Each block's ILUT is
+    independent and deterministic, and pickle carries its factors back bit
+    for bit, so the result does not depend on k.  Every child has ended
+    when this returns or raises, and an exception a child raised is raised
+    here."""
     A = canonical(A)
     sizes = np.asarray(block_sizes, dtype=np.int64)
     if sizes.sum() != A.shape[0] or A.shape[0] != A.shape[1] or np.any(sizes < 0):

@@ -39,9 +39,6 @@ class PslrConfig:
     seed: int = 0
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self):
         for name in ("num_subdomains", "series_degree", "rank", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -106,10 +103,6 @@ class PslrPreconditioner:
     def system(self) -> PartitionedSystem:
         return self.ctx.system
 
-    @property
-    def series_degree(self) -> int:
-        return self.config.series_degree
-
     def recorrected(self, series_degree: int, rank: int) -> "PslrPreconditioner":
         """What `build` gives with a new series degree and rank, derived from
         this partition, these ILU factors and this seed.
@@ -147,7 +140,7 @@ class PslrPreconditioner:
             return solve_B(self.ctx, f)
         y = g - self.system.F @ solve_B(self.ctx, f)
         y = apply_correction(self.correction, y)
-        y = apply_neumann(self.ctx, self.series_degree, y)
+        y = apply_neumann(self.ctx, self.config.series_degree, y)
         x = solve_B(self.ctx, f - self.system.E @ y)
         return np.concatenate([x, y])
 

@@ -29,10 +29,6 @@ class SchurContext:
     b_ilu: BlockILU
     c0_ilu: BlockILU    # factors of C0, the diagonal blocks of C
 
-    @property
-    def q(self) -> int:
-        return self.system.q
-
 
 def build_schur_context(ps: PartitionedSystem, droptol: float = 1e-2) -> SchurContext:
     """Factor the B_i and C_i diagonal blocks and assemble the context; C0
@@ -44,8 +40,9 @@ def build_schur_context(ps: PartitionedSystem, droptol: float = 1e-2) -> SchurCo
 
 def _check_len(ctx, v) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
-    if v.shape[0] != ctx.q:
-        raise ValueError(f"vector has length {v.shape[0]}, interface dimension is {ctx.q}")
+    if v.shape[0] != ctx.system.q:
+        raise ValueError(f"vector has length {v.shape[0]}, "
+                         f"interface dimension is {ctx.system.q}")
     return v
 
 

@@ -53,21 +53,8 @@ class Permutation:
         inverse[forward] = np.arange(n, dtype=np.int64)
         return cls(forward=forward, inverse=inverse)
 
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        idx = np.arange(n, dtype=np.int64)
-        return cls(forward=idx.copy(), inverse=idx.copy())
-
     def __len__(self):
         return self.forward.size
-
-
-def matvec(A, x) -> np.ndarray:
-    """y = A x with dimension checking."""
-    x = np.asarray(x, dtype=np.float64)
-    if A.shape[1] != x.shape[0]:
-        raise ValueError(f"dimension mismatch: matrix is {A.shape}, vector has {x.shape[0]}")
-    return A @ x
 
 
 def permute_symmetric(A, p: Permutation) -> sp.csr_matrix:

@@ -37,9 +37,8 @@ def shares(monkeypatch):
     """`shares(k)` makes `factor_blocks` cut any matrix into k shares, or one
     per block if fewer, by faking a k-CPU affinity mask and lifting the
     least nnz of a share.  It returns the list of the `os.fork` calls this
-    process makes.  A build that forks pins the calling thread and then
-    restores the fake mask, so the real one is restored at teardown."""
-    real = os.sched_getaffinity(0)
+    process makes.  Only the forked children pin themselves, so the calling
+    thread's real mask is never changed."""
     fork = os.fork
     forks = []
 
@@ -53,8 +52,7 @@ def shares(monkeypatch):
         monkeypatch.setattr(os, "fork", counted_fork)
         return forks
 
-    yield force
-    os.sched_setaffinity(0, real)
+    return force
 
 
 def lap1d(n):

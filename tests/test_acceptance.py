@@ -19,7 +19,7 @@ from pslr.lowrank import arnoldi, build_correction
 from pslr.preconditioner import PslrConfig, build
 from pslr.problems import ProblemSpec, count_negative_eigs_analytic, laplacian3d
 from pslr.schur import apply_Err, build_schur_context
-from pslr.sparse import matvec, permute_symmetric, Permutation
+from pslr.sparse import permute_symmetric, Permutation
 
 from conftest import lap1d, partitioned, random_sparse
 
@@ -38,8 +38,8 @@ GRID_2000 = ProblemSpec(1, 8, 250)
 
 def _solve_pslr(A, cfg, tol=1e-8, maxit=500):
     P = build(A, cfg)
-    b = matvec(A, np.random.default_rng(cfg.seed).standard_normal(A.shape[0]))
-    _, report = gmres(lambda v: matvec(A, v), P.apply_original, b,
+    b = A @ np.random.default_rng(cfg.seed).standard_normal(A.shape[0])
+    _, report = gmres(lambda v: A @ v, P.apply_original, b,
                       tol=tol, maxit=maxit)
     return P, report
 
@@ -137,12 +137,12 @@ def test_criterion_06_iteration_counts_n2000(lap2000):
     """GMRES tol 1e-8 on the same instance: <= 34 iters at m=3, <= 16 at m=5."""
     A = lap2000[0]
     its = {}
-    b = matvec(A, np.random.default_rng(0).standard_normal(A.shape[0]))
+    b = A @ np.random.default_rng(0).standard_normal(A.shape[0])
     # the fixture's partition and exact factors, and its Arnoldi bases
     base = build(A, PslrConfig(num_subdomains=5, series_degree=3, rank=15, droptol=0.0))
     for m in (3, 5):
         P = base.recorrected(m, 15)
-        _, rep = gmres(lambda v: matvec(A, v), P.apply_original, b, tol=1e-8)
+        _, rep = gmres(lambda v: A @ v, P.apply_original, b, tol=1e-8)
         assert rep.converged
         its[m] = rep.iterations
     ok = its[3] <= 34 and its[5] <= 16 and its[5] <= its[3]

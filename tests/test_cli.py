@@ -552,7 +552,7 @@ class TestSpectrum:
 # every public name `pslr/__init__.py` exports; the package resolves them
 # lazily, so a typo there would only show on use
 PUBLIC_NAMES = (
-    "Permutation", "matvec", "permute_symmetric", "extract_submatrix",
+    "Permutation", "permute_symmetric", "extract_submatrix",
     "read_matrix_market", "write_matrix_market", "MatrixMarketError",
     "PartitionedSystem", "partition_graph", "classify_and_reorder",
     "IluFactor", "BlockILU", "ilut", "factor_blocks", "block_solve",
@@ -587,15 +587,34 @@ def test_public_names_resolve():
     assert set(PUBLIC_NAMES) - {"__version__"} <= set(pslr.__all__)
 
 
-def test_perfbench_patch_points_exist():
-    """perfbench/spans.py wraps names on pslr's modules and raises TraceCheckError
-    when one is gone; a rename must fail here, not only in the benchmark."""
+def _perfbench_spans():
     path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_perfbench_patch_points_exist():
+    """perfbench/spans.py wraps names on pslr's modules and raises TraceCheckError
+    when one is gone; a rename must fail here, not only in the benchmark."""
+    spans = _perfbench_spans()
     with spans.Tracer("t").patched():
         pass
+
+
+def test_perfbench_trace_contract_on_a_split_C0(tmp_path):
+    """The tiny benchmark workloads factor C0 over every row; this solve's C0
+    takes the bare-row split, and its trace must keep the contract too."""
+    spans = _perfbench_spans()
+    tr = spans.Tracer("split")
+    with tr.patched(), tr.span("cli.main"):
+        code = main(["solve", "--problem", "lap3d:8,8,8,0.05", "--s", "4", "--m", "2",
+                     "--rank", "3", "--out", str(tmp_path / "o.json")])
+    assert code == 0
+    assert spans.check_structure(tr, m=2) == []
+    (c0,) = [filu for kind, filu, *_ in tr._factors.values() if kind == "C0"]
+    assert c0.coupled is not None and (c0.coupled.size, c0.n) == (74, 230)
 
 
 @pytest.mark.parametrize("workload", ["tiny-solve", "tiny-sweep"])

@@ -40,3 +40,14 @@ def test_main_prints_each_file_and_the_total(tmp_path, capsys):
     b.write_text("x = 1\n\n# done\n")
     assert code_lines.main([str(a), str(b)]) == 0
     assert capsys.readouterr().out.split() == ["7", str(a), "1", str(b), "8", "total"]
+
+
+def test_a_directory_counts_its_py_files_sorted(tmp_path, capsys):
+    (tmp_path / "b.py").write_text(SAMPLE)
+    (tmp_path / "a.py").write_text("x = 1\n")
+    (tmp_path / "notes.txt").write_text("y = 2\n")
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "c.py").write_text("z = 3\n")
+    assert code_lines.main([str(tmp_path)]) == 0
+    assert capsys.readouterr().out.split() == [
+        "1", str(tmp_path / "a.py"), "7", str(tmp_path / "b.py"), "8", "total"]

@@ -279,11 +279,12 @@ class TestIlut:
                 factor(sp.identity(2, format="csr"), droptol=-1.0)
         assert forks == []
 
-    @pytest.mark.parametrize("droptol", [np.nan, np.inf])
+    # a bool is rejected too, though True and False compare as 1 and 0
+    @pytest.mark.parametrize("droptol", [np.nan, np.inf, True, False])
     def test_non_finite_droptol_rejected(self, droptol, shares):
         forks = shares(2)
         for factor in _DROPTOL_CHECKS:
-            with pytest.raises(ValueError, match="droptol"):
+            with pytest.raises(ValueError, match=f"droptol .* got {droptol}$"):
                 factor(sp.identity(2, format="csr"), droptol=droptol)
         assert forks == []
 
@@ -406,6 +407,25 @@ class TestFanOut:
         A, sizes, droptol, _ = _FAN_OUT_CASES["lap3d-B"]
         assert A.nnz < 2 * pslr.ilu._SHARE_NNZ
         factor_blocks(A, sizes, droptol=droptol)
+
+    def test_caller_keeps_its_cpu_mask(self, shares, monkeypatch):
+        # only the forked children pin themselves: the calling thread, while
+        # it factors its own share, still runs on every CPU it had
+        real = os.sched_getaffinity
+        before = real(0)
+        seen = []
+        forks = shares(2)
+        parent, ilut_ = os.getpid(), pslr.ilu.ilut
+
+        def ilut_noting_mask(block, droptol=1e-2):
+            if os.getpid() == parent:
+                seen.append(real(0))
+            return ilut_(block, droptol)
+        monkeypatch.setattr(pslr.ilu, "ilut", ilut_noting_mask)
+        A, sizes, droptol, _ = _FAN_OUT_CASES["lap3d-B"]
+        factor_blocks(A, sizes, droptol=droptol)
+        assert len(forks) == 1 and seen and all(mask == before for mask in seen)
+        assert real(0) == before
 
     def test_fork_failure_factors_in_the_caller(self, shares, monkeypatch):
         A, sizes, droptol, _ = _FAN_OUT_CASES["random"]

@@ -142,12 +142,12 @@ class TestContextStructure:
         _, ps = lap3d_small_system
         ctx = build_schur_context(ps, droptol=0.0)
         with pytest.raises(ValueError):
-            apply_S(ctx, np.ones(ctx.q + 1))
+            apply_S(ctx, np.ones(ctx.system.q + 1))
 
     def test_negative_degree_rejected(self, lap3d_small_system):
         _, ps = lap3d_small_system
         ctx = build_schur_context(ps, droptol=0.0)
         with pytest.raises(ValueError):
-            apply_neumann(ctx, -1, np.ones(ctx.q))
+            apply_neumann(ctx, -1, np.ones(ctx.system.q))
         with pytest.raises(ValueError):
-            apply_Err(ctx, -1, np.ones(ctx.q))
+            apply_Err(ctx, -1, np.ones(ctx.system.q))

@@ -10,7 +10,6 @@ from pslr.sparse import (
     Permutation,
     canonical,
     extract_submatrix,
-    matvec,
     permute_symmetric,
     read_matrix_market,
     write_matrix_market,
@@ -24,7 +23,7 @@ _ENTRIES = {
     "factor_blocks": lambda A, path: factor_blocks(A, [2, 2]),
     "partition_graph": lambda A, path: partition_graph(A, 2),
     "classify_and_reorder": lambda A, path: classify_and_reorder(A, np.array([0, 0, 1, 1])),
-    "permute_symmetric": lambda A, path: permute_symmetric(A, Permutation.identity(4)),
+    "permute_symmetric": lambda A, path: permute_symmetric(A, Permutation.from_forward(np.arange(4))),
     "extract_submatrix": lambda A, path: extract_submatrix(A, [0, 1], [2, 3]),
     "write_matrix_market": lambda A, path: write_matrix_market(A, path),
 }
@@ -60,34 +59,6 @@ class TestCanonical:
             np.testing.assert_array_equal(canonical(M).toarray(), M.astype(np.float64))
 
 
-class TestMatvec:
-    def test_identity(self):
-        A = sp.identity(3, format="csr")
-        np.testing.assert_array_equal(matvec(A, [1.0, 2.0, 3.0]), [1.0, 2.0, 3.0])
-
-    def test_zero_rows(self):
-        A = sp.csr_matrix((2, 3))
-        np.testing.assert_array_equal(matvec(A, [1.0, 2.0, 3.0]), [0.0, 0.0])
-
-    def test_hand_computed(self):
-        A = sp.csr_matrix(np.array([[2.0, 1.0], [0.0, 3.0]]))
-        np.testing.assert_array_equal(matvec(A, [1.0, 1.0]), [3.0, 3.0])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            matvec(sp.identity(3, format="csr"), np.ones(4))
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_matches_dense(self, seed):
-        rng = np.random.default_rng(seed)
-        n = 200
-        A = sp.random(n, n, density=0.05, random_state=seed, format="csr")
-        x = rng.standard_normal(n)
-        y = matvec(A, x)
-        ref = A.toarray() @ x
-        assert np.linalg.norm(y - ref) <= 1e-13 * max(np.linalg.norm(ref), 1.0)
-
-
 class TestPermutation:
     def test_forward_inverse_roundtrip(self):
         p = Permutation.from_forward([2, 0, 1])
@@ -111,7 +82,7 @@ class TestPermutation:
 class TestPermuteSymmetric:
     def test_identity_permutation(self):
         A = sp.random(10, 10, density=0.3, random_state=0, format="csr")
-        B = permute_symmetric(A, Permutation.identity(10))
+        B = permute_symmetric(A, Permutation.from_forward(np.arange(10)))
         assert (B != A).nnz == 0
 
     def test_inverse_roundtrip(self):
@@ -149,7 +120,7 @@ class TestPermuteSymmetric:
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
-            permute_symmetric(sp.identity(4, format="csr"), Permutation.identity(3))
+            permute_symmetric(sp.identity(4, format="csr"), Permutation.from_forward(np.arange(3)))
 
 
 class TestExtractSubmatrix:

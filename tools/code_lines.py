@@ -7,7 +7,9 @@ multi-line token does.
 
     python tools/code_lines.py src/pslr/*.py
 
-prints each file's count and then the total.
+prints each file's count and then the total.  A directory stands for the
+`*.py` files directly in it, in sorted order: `python tools/code_lines.py
+src/pslr` prints the same.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import ast
 import io
 import sys
 import tokenize
+from pathlib import Path
 
 _LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
            tokenize.DEDENT, tokenize.ENDMARKER, tokenize.ENCODING}
@@ -51,7 +54,8 @@ def code_lines(source: str) -> int:
 
 def main(paths: list[str]) -> int:
     total = 0
-    for path in paths:
+    files = [f for p in map(Path, paths) for f in (sorted(p.glob("*.py")) if p.is_dir() else [p])]
+    for path in files:
         with open(path, encoding="utf-8") as fh:
             count = code_lines(fh.read())
         total += count

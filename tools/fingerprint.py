@@ -1,0 +1,67 @@
+"""Print a fingerprint of one pslr build and solve, to check a change keeps the bits.
+
+    PYTHONPATH=src python tools/fingerprint.py PROBLEM S M RANK DROPTOL
+
+builds the preconditioner for the problem string (as `pslr solve --problem`)
+with seed 0, runs `pslr solve`'s GMRES on it (tol 1e-8, maxit 500, no
+restart), and prints one JSON line.  It holds a sha256 digest, with dtype and
+shape, of each CSR array of B's and C0's `L` and `U`, of `V` and `G`, of one
+`apply` and one `apply_original` of a seeded vector and of the solution, and
+then `its`, `fill_total` and `final_relres`.  Two commits that print the same
+line computed the same factors, correction and iterates to the bit.
+
+For example, the settings of the benchmark's `l32-indefinite` workload:
+
+    PYTHONPATH=src python tools/fingerprint.py lap3d:32,32,32,0.16 35 3 15 1e-2
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+
+import numpy as np
+
+from pslr import cli, preconditioner
+from pslr.problems import parse_problem
+
+
+def digest(a) -> str:
+    """'sha256 dtype shape' of an array's bytes in C order."""
+    a = np.ascontiguousarray(a)
+    return f"{hashlib.sha256(a.tobytes()).hexdigest()} {a.dtype} {'x'.join(map(str, a.shape))}"
+
+
+def fingerprint(problem: str, s: int, m: int, rank: int, droptol: float) -> dict:
+    A = parse_problem(problem)[1]
+    manifest = cli.RunManifest(problem=problem, s=s, m=m, rank=rank, droptol=droptol)
+    P = preconditioner.build(A, cli._config(manifest))
+    out = {}
+    for name, filu in (("B", P.ctx.b_ilu), ("C0", P.ctx.c0_ilu)):
+        for side, T in (("L", filu.L), ("U", filu.U)):
+            for part in ("data", "indices", "indptr"):
+                out[f"{name}.{side}.{part}"] = digest(getattr(T, part))
+    out["V"] = digest(P.correction.V)
+    out["G"] = digest(P.correction.G)
+    v = np.random.default_rng(0).standard_normal(A.shape[0])
+    out["apply"] = digest(P.apply(v))
+    out["apply_original"] = digest(P.apply_original(v))
+    x, report = cli._solve_with(A, P, manifest)
+    out["solution"] = digest(x)
+    out.update(its=report.iterations, fill_total=P.stats.fill_total,
+               final_relres=report.final_relres)
+    return out
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 5:
+        print(__doc__.strip(), file=sys.stderr)
+        return 1
+    problem, s, m, rank, droptol = argv
+    print(json.dumps(fingerprint(problem, int(s), int(m), int(rank), float(droptol))))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
