@@ -88,6 +88,11 @@ def nonnegative_int(text) -> int:
     return value
 
 
+def int_list(text) -> list[int]:
+    """Comma-separated ints; argparse names the type in its message."""
+    return [int(t) for t in text.split(",")]
+
+
 def _add_run_flags(p: _Parser):
     """The input, build, --threads and --out flags every subcommand reads."""
     p.flag("matrix", help="Matrix Market file")
@@ -259,8 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_flags(p_sweep)
     _add_krylov_flags(p_sweep)
     p_sweep.add_argument("--axis", choices=("s", "m", "rank"), required=True)
-    p_sweep.add_argument("--values", type=lambda t: [int(x) for x in t.split(",")],
-                         required=True, help="comma-separated axis values")
+    p_sweep.add_argument("--values", type=int_list, required=True,
+                         help="comma-separated axis values")
 
     p_spec = sub.add_parser("spectrum", help="eigenvalues of an operator of the built "
                                              "preconditioner at --droptol, CSV output")

@@ -19,14 +19,15 @@ of later rows, and L and U are appended row by row to CSR
 The blocks of one matrix are factored in as many processes as the
 affinity mask has CPUs, each with a contiguous share of the blocks of about
 equal nnz, and no share smaller than a fork is worth (see
-`factor_blocks`).  The children are forked, so they read
-the matrix from the memory they inherit; each pins itself to a CPU of its
-own, the caller's mask is left as it is, and each sends its factors back
-through a pipe, pickled.  Only the ILUT row loop runs in them; the factors
-are assembled and prepared in the caller's process.  A block's factors
-depend on nothing but the block and droptol, so they are the same bits
-whichever process made them, and the result does not depend on the number
-of processes.  `taskset -c 0` gives a one-process build.
+`factor_blocks`).  The children are forked, so they read the matrix from
+the memory they inherit; each pins itself to a CPU of its own, the caller's
+mask is left as it is, and each sends one pickled object back through a
+pipe: its factors, or the exception it raised.  The caller gathers the
+shares in block order.  Only the ILUT row loop runs in the children; the
+factors are assembled and prepared in the caller's process.  A block's
+factors depend on nothing but the block and droptol, so they are the same
+bits whichever process made them, and the result does not depend on the
+number of processes.  `taskset -c 0` gives a one-process build.
 
 The assembled block factors are prepared for solving once, when they are
 built: each triangular factor becomes the upper factor of a SuperLU object
@@ -290,9 +291,9 @@ def _ilut_range(A, offsets, lo, hi, droptol) -> list[IluFactor]:
 
 def _fork_share(A, offsets, share, droptol, cpu):
     """Fork a child that runs on `cpu`, ILUTs the blocks of `share` and
-    pickles the factors, or the exception it raised, to a pipe.  Returns the
-    child's pid and the pipe's read end, or None when no process can be
-    forked."""
+    pickles one object to a pipe: their factors, or the exception it
+    raised.  Returns the child's pid and the pipe's read end, or None when
+    no process can be forked."""
     r, w = os.pipe()
     try:
         with warnings.catch_warnings():
@@ -316,9 +317,9 @@ def _fork_share(A, offsets, share, droptol, cpu):
             except OSError:
                 pass
             try:
-                result = (True, _ilut_range(A, offsets, *share, droptol))
+                result = _ilut_range(A, offsets, *share, droptol)
             except BaseException as exc:
-                result = (False, exc)
+                result = exc
             with open(w, "wb") as pipe:
                 pickle.dump(result, pipe, pickle.HIGHEST_PROTOCOL)
             code = 0
@@ -331,44 +332,42 @@ def _fork_share(A, offsets, share, droptol, cpu):
 
 
 def _ilut_blocks(A, offsets, droptol) -> list[IluFactor]:
-    """ILUT of every block, in shares of about equal nnz: the caller's
-    thread factors the first share, and a forked child each other one, each
-    child pinned to a CPU of its own; the caller's mask is left as it is.
-    The factors come back in block order."""
-    nblocks = offsets.size - 1
+    """ILUT of every block, in shares of about equal nnz.  A forked child
+    factors each share after the first, pinned to a CPU of its own, and
+    sends back its factors or its exception.  The caller's thread, its mask
+    left as it is, factors the first share and any share no process could
+    be forked for, and gathers the shares in block order."""
     cpus = _cpus()
     weights = np.diff(A.indptr[offsets])
-    k = min(len(cpus), nblocks, int(weights.sum()) // _SHARE_NNZ)
+    k = min(len(cpus), offsets.size - 1, int(weights.sum()) // _SHARE_NNZ)
     shares = _shares(weights, max(1, k))
-    factors: list[IluFactor] = [None] * nblocks
-    own, children = shares[:1], {}   # children: pid -> (read end, share)
+    factors, children = [], {}   # children: share -> (pid, read end) of its child
     try:
         for share, cpu in zip(shares[1:], cpus[1:]):
-            child = _fork_share(A, offsets, share, droptol, cpu)
-            if child is None:    # no process to spare: factor the share here
-                own.append(share)
-            else:
-                children[child[0]] = (child[1], share)
-        for lo, hi in own:
-            factors[lo:hi] = _ilut_range(A, offsets, lo, hi, droptol)
-        for pid, (pipe, (lo, hi)) in list(children.items()):
+            if (child := _fork_share(A, offsets, share, droptol, cpu)) is not None:
+                children[share] = child
+        for lo, hi in shares:
+            if (lo, hi) not in children:
+                factors += _ilut_range(A, offsets, lo, hi, droptol)
+                continue
+            pid, pipe = children[lo, hi]
             try:
-                ok, result = pickle.load(pipe)
+                result = pickle.load(pipe)
             except (EOFError, pickle.UnpicklingError):
                 pipe.close()
-                del children[pid]
+                del children[lo, hi]
                 code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
                 raise ChildProcessError(f"the process factoring blocks {lo} to {hi - 1} "
                                         f"ended with exit code {code} and no result") from None
-            if not ok:
+            if isinstance(result, BaseException):
                 raise result
-            factors[lo:hi] = result
+            factors += result
     except BaseException:
-        for pid in children:
+        for pid, _ in children.values():
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        for pid, (pipe, _) in children.items():
+        for pid, pipe in children.values():
             pipe.close()
             os.waitpid(pid, 0)
     return factors

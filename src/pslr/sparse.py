@@ -7,7 +7,6 @@ form; everything else in the package assumes it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,8 +84,11 @@ def read_matrix_market(path) -> sp.csr_matrix:
     """Read a real coordinate Matrix Market file (general or symmetric).
 
     Symmetric storage is expanded to full; duplicate entries are summed;
-    indices are converted from the file's 1-based convention.  A file with
-    any nan or infinite value is rejected, with the count of such entries.
+    indices are converted from the file's 1-based convention.  Sizes and
+    indices are ASCII integers and values ASCII floats: a size or entry line
+    with an underscore or a non-ASCII character, which Python's own number
+    syntax accepts, is rejected.  A file with any nan or infinite value is
+    rejected, with the count of such entries.
     """
     with open(path, "r") as fh:
         lines = fh.readlines()
@@ -104,64 +106,55 @@ def read_matrix_market(path) -> sp.csr_matrix:
     if symmetry not in ("general", "symmetric"):
         raise MatrixMarketError(f"unsupported symmetry '{symmetry}'", line=1)
 
-    lineno = 1
-    nrows = ncols = nnz = None
-    entries_seen = 0
-    nonfinite = 0
-    first_nonfinite = None
-    ii = []
-    jj = []
-    vv = []
-    for raw in lines[1:]:
-        lineno += 1
-        text = raw.strip()
-        if not text or text.startswith("%"):
-            continue
-        parts = text.split()
-        if nrows is None:
-            if len(parts) != 3:
-                raise MatrixMarketError("size line must be 'nrows ncols nnz'", line=lineno)
-            try:
-                nrows, ncols, nnz = (int(t) for t in parts)
-            except ValueError:
-                raise MatrixMarketError("non-integer size line", line=lineno) from None
-            if nrows < 0 or ncols < 0 or nnz < 0:
-                raise MatrixMarketError("negative dimension or count", line=lineno)
-            continue
-        if len(parts) != 3:
+    body = _content(lines)
+    lineno, text = next(body, (len(lines), None))
+    if text is None:
+        raise MatrixMarketError("missing size line", line=lineno)
+    if len(parts := text.split()) != 3:
+        raise MatrixMarketError("size line must be 'nrows ncols nnz'", line=lineno)
+    try:   # int() and float() also read `1_0` as 10 and non-ASCII digits as digits
+        if "_" in text or not text.isascii():
+            raise ValueError(text)
+        nrows, ncols, nnz = map(int, parts)
+    except ValueError:
+        raise MatrixMarketError("non-integer size line", line=lineno) from None
+    if nrows < 0 or ncols < 0 or nnz < 0:
+        raise MatrixMarketError("negative dimension or count", line=lineno)
+
+    ii, jj, vv = [], [], []
+    for k, (lineno, text) in enumerate(body):
+        if len(parts := text.split()) != 3:
             raise MatrixMarketError("entry must be 'i j value'", line=lineno)
-        try:
-            i = int(parts[0])
-            j = int(parts[1])
-            v = float(parts[2])
+        try:   # as in the size line
+            if "_" in text or not text.isascii():
+                raise ValueError(text)
+            i, j, v = int(parts[0]), int(parts[1]), float(parts[2])
         except ValueError:
             raise MatrixMarketError(f"cannot parse entry '{text}'", line=lineno) from None
         if not (1 <= i <= nrows and 1 <= j <= ncols):
             raise MatrixMarketError(f"index ({i}, {j}) out of declared range {nrows}x{ncols}", line=lineno)
-        entries_seen += 1
-        if entries_seen > nnz:
+        if k == nnz:
             raise MatrixMarketError(f"more than the declared {nnz} entries", line=lineno)
-        if not math.isfinite(v):
-            if not nonfinite:
-                first_nonfinite = lineno
-            nonfinite += 1
         ii.append(i - 1)
         jj.append(j - 1)
         vv.append(v)
-        if symmetry == "symmetric" and i != j:
-            ii.append(j - 1)
-            jj.append(i - 1)
-            vv.append(v)
 
-    if nrows is None:
-        raise MatrixMarketError("missing size line", line=lineno)
-    if entries_seen != nnz:
-        raise MatrixMarketError(f"declared {nnz} entries but found {entries_seen}", line=lineno)
-    if nonfinite:
-        raise MatrixMarketError(f"non-finite value ({nonfinite} non-finite entries in the file)",
-                                line=first_nonfinite)
-    A = sp.coo_matrix((vv, (ii, jj)), shape=(nrows, ncols))
-    return canonical(A)
+    if len(vv) != nnz:
+        raise MatrixMarketError(f"declared {nnz} entries but found {len(vv)}", line=len(lines))
+    i, j, v = np.array(ii, dtype=np.int64), np.array(jj, dtype=np.int64), np.array(vv)
+    if (bad := ~np.isfinite(v)).any():   # the line of the first, from a second pass
+        raise MatrixMarketError(f"non-finite value ({bad.sum()} non-finite entries in the file)",
+                                line=list(_content(lines))[1 + bad.argmax()][0])
+    if symmetry == "symmetric":   # each off-diagonal entry, then its mirror
+        keep = np.ravel([np.ones(v.size, bool), i != j], order="F")
+        i, j, v = [np.ravel(pair, order="F")[keep] for pair in ((i, j), (j, i), (v, v))]
+    return canonical(sp.coo_matrix((v, (i, j)), shape=(nrows, ncols)))
+
+
+def _content(lines):
+    """(line number, text) of each line after the first that is neither
+    blank nor a comment, stripped."""
+    return ((n, t) for n, raw in enumerate(lines[1:], 2) if (t := raw.strip()) and t[0] != "%")
 
 
 def write_matrix_market(A, path) -> None:

@@ -305,20 +305,24 @@ class TestSolve:
         assert err.startswith("error:") and err.count("\n") == 1 and "integer" in err
 
     @pytest.mark.parametrize("args", [["--s", "abc"], ["--krylov", "bogus"], ["--thread", "1"],
-                                      ["--threads", "-3"]],
+                                      ["--threads", "-3"],
+                                      ["--axis", "s", "--values", "1,,2"]],
                              ids=["flag", "krylov-choice", "abbreviated-flag",
-                                  "threads-negative"])
+                                  "threads-negative", "sweep-values"])
     def test_bad_value_is_a_usage_error(self, capsys, args):
-        assert_usage_error(capsys, ["solve", "--problem", PROBLEM, *args])
+        command = "sweep" if "--axis" in args else "solve"
+        err = assert_usage_error(capsys, [command, "--problem", PROBLEM, *args])
+        assert "<lambda>" not in err   # the one line names the type
 
 
-def assert_usage_error(capsys, argv):
-    """`main(argv)` exits 1 with one `error:` line, before any work."""
+def assert_usage_error(capsys, argv) -> str:
+    """`main(argv)` exits 1 with one `error:` line, before any work; returns it."""
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1, err
+    return err
 
 
 @pytest.mark.parametrize("argv", [

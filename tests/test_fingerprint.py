@@ -2,6 +2,9 @@ import importlib.util
 import json
 from pathlib import Path
 
+from pslr.problems import parse_problem
+from pslr.sparse import write_matrix_market
+
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "fingerprint.py"
 spec = importlib.util.spec_from_file_location("fingerprint", TOOL)
 fingerprint = importlib.util.module_from_spec(spec)
@@ -22,6 +25,15 @@ def test_one_and_two_shares_give_the_same_fingerprint(shares, capsys):
     record = json.loads(one)
     assert record["its"] > 0 and record["final_relres"] <= 1e-8
     assert all(len(record[key].split()) == 3 for key in ("V", "G", "apply", "solution"))
+
+
+def test_matrix_market_file_gives_the_problem_fingerprint(tmp_path, capsys):
+    path = tmp_path / "lap3d8.mtx"
+    write_matrix_market(parse_problem(ARGS[0])[1], path)
+    assert fingerprint.main(ARGS) == 0
+    from_problem = capsys.readouterr().out
+    assert fingerprint.main([str(path), *ARGS[1:]]) == 0
+    assert capsys.readouterr().out == from_problem
 
 
 def test_wrong_arguments_print_the_usage(capsys):

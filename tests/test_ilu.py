@@ -437,6 +437,34 @@ class TestFanOut:
         monkeypatch.setattr(os, "fork", no_process)
         _assert_same_block_factors(factor_blocks(A, sizes, droptol=droptol), ref)
 
+    def test_shares_are_gathered_in_block_order(self, shares, monkeypatch):
+        # the first fork fails: the caller factors the first two shares, a
+        # child the last, and the factors still come back in block order
+        A, sizes, droptol, _ = _FAN_OUT_CASES["lap3d-B"]
+        shares(1)
+        ref = factor_blocks(A, sizes, droptol=droptol)
+        forks = shares(3)
+        fork, calls = os.fork, []
+
+        def first_fork_fails():
+            calls.append(1)
+            if len(calls) == 1:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            return fork()
+        monkeypatch.setattr(os, "fork", first_fork_fails)
+        parent, ilut_range, here = os.getpid(), pslr.ilu._ilut_range, []
+
+        def noting_range(A, offsets, lo, hi, droptol):
+            if os.getpid() == parent:
+                here.append((lo, hi))
+            return ilut_range(A, offsets, lo, hi, droptol)
+        monkeypatch.setattr(pslr.ilu, "_ilut_range", noting_range)
+        _assert_same_block_factors(factor_blocks(A, sizes, droptol=droptol), ref)
+        cut = _shares(np.diff(A.indptr[np.concatenate([[0], np.cumsum(sizes)])]), 3)
+        assert len(cut) == 3 and here == cut[:2] and len(calls) == 2 and len(forks) == 1
+        with pytest.raises(ChildProcessError):   # the child is reaped
+            os.waitpid(-1, os.WNOHANG)
+
 
 def _fail_in(where, action, monkeypatch):
     """Make ILUT run `action` on the first block it meets in the calling

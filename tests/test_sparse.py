@@ -165,6 +165,16 @@ REJECTIONS = [
     ("more than the declared 1", 4, HEADER + "2 2 1\n1 1 1.0\n2 2 1.0\n"),
     ("missing size line", 2, HEADER + "% no size line\n"),
     ("declared 3 entries but found 1", 5, HEADER + "2 2 3\n1 1 1.0\n\n% trailing comment\n"),
+    ("non-finite value", 6, HEADER + "2 2 2\n1 1 1.0\n% comment\n\n2 2 nan\n"),
+    # the first fault in file order: a malformed entry before one too many,
+    # and a missing entry before a nan
+    ("cannot parse entry '1 1 x'", 3, HEADER + "2 2 1\n1 1 x\n2 2 1.0\n"),
+    ("declared 3 entries but found 2", 4, HEADER + "2 2 3\n1 1 nan\n2 2 1.0\n"),
+    # number spellings that Python's int() and float() accept and Matrix Market has not
+    ("non-integer size line", 2, HEADER + "1_0 10 1\n1 1 1.0\n"),
+    ("cannot parse entry '1_0 1 2.0'", 3, HEADER + "10 10 1\n1_0 1 2.0\n"),
+    ("cannot parse entry '\u0661 1 3.0'", 3, HEADER + "2 2 1\n\u0661 1 3.0\n"),
+    ("cannot parse entry '1 1 1_0.5'", 3, HEADER + "2 2 1\n1 1 1_0.5\n"),
 ]
 
 
@@ -221,6 +231,24 @@ class TestMatrixMarket:
         with pytest.raises(MatrixMarketError, match=message) as exc:
             read_matrix_market(path)
         assert exc.value.line == line
+
+    def test_symmetric_duplicates_summed_in_file_order(self, tmp_path):
+        # (2,1) twice and (1,2) once: each entry is followed by its mirror, so
+        # both positions sum 1e16, 1.0 and -1e16 in that order
+        entries = [(1, 1, 2.0), (2, 1, 1e16), (2, 1, 1.0), (1, 2, -1e16), (2, 2, 3.0)]
+        path = tmp_path / "sym.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real symmetric\n2 2 5\n"
+                        + "".join(f"{i} {j} {v!r}\n" for i, j, v in entries))
+        expanded = []
+        for i, j, v in entries:
+            expanded += [(i - 1, j - 1, v)] + ([(j - 1, i - 1, v)] if i != j else [])
+        rows, cols, vals = zip(*expanded)
+        want = canonical(sp.coo_matrix((vals, (rows, cols)), shape=(2, 2)))
+        A = read_matrix_market(path)
+        assert A.shape == want.shape
+        for part in ("indptr", "indices", "data"):
+            got, ref = getattr(A, part), getattr(want, part)
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
     def test_duplicates_summed(self, tmp_path):
         path = tmp_path / "dup.mtx"

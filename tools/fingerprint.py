@@ -2,13 +2,15 @@
 
     PYTHONPATH=src python tools/fingerprint.py PROBLEM S M RANK DROPTOL
 
-builds the preconditioner for the problem string (as `pslr solve --problem`)
-with seed 0, runs `pslr solve`'s GMRES on it (tol 1e-8, maxit 500, no
-restart), and prints one JSON line.  It holds a sha256 digest, with dtype and
-shape, of each CSR array of B's and C0's `L` and `U`, of `V` and `G`, of one
-`apply` and one `apply_original` of a seeded vector and of the solution, and
-then `its`, `fill_total` and `final_relres`.  Two commits that print the same
-line computed the same factors, correction and iterates to the bit.
+builds the preconditioner for the problem string (as `pslr solve --problem`),
+or for the Matrix Market file when PROBLEM names an existing file (as
+`pslr solve --matrix`), with seed 0, runs `pslr solve`'s GMRES on it (tol
+1e-8, maxit 500, no restart), and prints one JSON line.  It holds a sha256
+digest, with dtype and shape, of each CSR array of B's and C0's `L` and `U`,
+of `V` and `G`, of one `apply` and one `apply_original` of a seeded vector
+and of the solution, and then `its`, `fill_total` and `final_relres`.  Two
+commits that print the same line computed the same factors, correction and
+iterates to the bit.
 
 For example, the settings of the benchmark's `l32-indefinite` workload:
 
@@ -19,12 +21,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import sys
 
 import numpy as np
 
 from pslr import cli, preconditioner
-from pslr.problems import parse_problem
 
 
 def digest(a) -> str:
@@ -34,8 +36,9 @@ def digest(a) -> str:
 
 
 def fingerprint(problem: str, s: int, m: int, rank: int, droptol: float) -> dict:
-    A = parse_problem(problem)[1]
-    manifest = cli.RunManifest(problem=problem, s=s, m=m, rank=rank, droptol=droptol)
+    source = {"matrix" if os.path.isfile(problem) else "problem": problem}
+    manifest = cli.RunManifest(**source, s=s, m=m, rank=rank, droptol=droptol)
+    A = cli._load_matrix(manifest)
     P = preconditioner.build(A, cli._config(manifest))
     out = {}
     for name, filu in (("B", P.ctx.b_ilu), ("C0", P.ctx.c0_ilu)):
