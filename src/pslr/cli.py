@@ -25,7 +25,6 @@ from ._main import _THREAD_VARS
 from .diagnostics import DENSE_GUARD, spectrum, spectrum_csv
 from .krylov import NotSpdError, cg, gmres
 from .lowrank import CorrectionSingularError, apply_correction
-from .partition import save_assignment_json
 from .preconditioner import PslrConfig, PslrPreconditioner
 from .problems import parse_problem
 from .schur import apply_Err, apply_Es, apply_neumann, apply_S, solve_C0
@@ -179,7 +178,7 @@ def cmd_solve(manifest: RunManifest) -> int:
     A = _load_matrix(manifest)
     P = preconditioner.build(A, _config(manifest))
     if manifest.partition_out:
-        save_assignment_json(P.system.assignment, manifest.partition_out)
+        _emit(json.dumps(P.system.assignment.tolist()), manifest.partition_out)
     _, report = _solve_with(A, P, manifest)
     _emit(json.dumps(_stats_payload(P, report, manifest), indent=2) + "\n", manifest.out)
     return 0 if report.converged else 2
@@ -290,8 +289,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     _warn_unapplied_threads(args.threads)
     handler = {"solve": cmd_solve, "sweep": cmd_sweep, "spectrum": cmd_spectrum}[args.command]
-    try:
-        return handler(_manifest_from_args(args))
+    try:   # numpy stays silent: what it would warn of, an explicit check reports in one line
+        with np.errstate(all="ignore"):
+            return handler(_manifest_from_args(args))
     except (OSError, MemoryError, ValueError, ArithmeticError, NotSpdError,
             CorrectionSingularError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)

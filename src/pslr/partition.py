@@ -1,9 +1,10 @@
 """Graph partitioning and interior/interface block reordering.
 
 The partitioner is recursive BFS (level-set) bisection on the symmetrized
-adjacency pattern.  A partition is its assignment array, vertex -> subdomain
-number, and nothing else; `classify_and_reorder` derives the rest from it in
-one pass over the stored entries.  Vertices with a cross-subdomain entry
+adjacency pattern; the bisection returns the parts in subdomain order.  A
+partition is its assignment array, vertex -> subdomain number, and nothing
+else; `classify_and_reorder` derives the rest from it in one pass over the
+stored entries.  Vertices with a cross-subdomain entry
 become interface vertices; the system is reordered so each subdomain's
 interior variables are contiguous and all interface variables come last,
 yielding the 2x2 block form
@@ -17,7 +18,6 @@ also gives Cg = C - C0, the entries of C outside its diagonal blocks.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,25 +99,25 @@ def _bfs_order(adj, vertices) -> np.ndarray:
     return vertices[order]
 
 
-def _bisect(adj, vertices, parts, next_id, assignment):
+def _bisect(adj, vertices, parts) -> list[np.ndarray]:
+    """Split sorted `vertices` into `parts` sorted vertex sets, returned in
+    subdomain order: the first (parts + 1) // 2 sets split the leading share
+    of the BFS order, the others the rest."""
     if parts == 1:
-        assignment[vertices] = next_id
-        return next_id + 1
-    left_parts = (parts + 1) // 2
-    right_parts = parts - left_parts
+        return [vertices]
+    left_parts, right_parts = (parts + 1) // 2, parts // 2
     order = _bfs_order(adj, vertices)
     split = int(round(len(order) * left_parts / parts))
     # keep both sides large enough to host their share of parts
     split = min(max(split, left_parts), len(order) - right_parts)
-    left = np.sort(order[:split])
-    right = np.sort(order[split:])
-    next_id = _bisect(adj, left, left_parts, next_id, assignment)
-    return _bisect(adj, right, right_parts, next_id, assignment)
+    left, right = np.sort(order[:split]), np.sort(order[split:])
+    return _bisect(adj, left, left_parts) + _bisect(adj, right, right_parts)
 
 
 def partition_graph(A, num_parts: int) -> np.ndarray:
     """Partition A's adjacency graph into `num_parts` balanced subdomains:
-    the subdomain number, 0 to num_parts - 1, of every vertex."""
+    the subdomain number, 0 to num_parts - 1, of every vertex, numbered in
+    the order `_bisect` returns the parts."""
     A = canonical(A)
     if A.shape[0] != A.shape[1]:
         raise ValueError("matrix must be square")
@@ -127,8 +127,9 @@ def partition_graph(A, num_parts: int) -> np.ndarray:
     if num_parts > n:
         raise ValueError(f"cannot split {n} vertices into {num_parts} subdomains")
     adj = _adjacency(A)
-    assignment = np.full(n, -1, dtype=np.int64)
-    _bisect(adj, np.arange(n, dtype=np.int64), num_parts, 0, assignment)
+    assignment = np.empty(n, dtype=np.int64)
+    for k, vertices in enumerate(_bisect(adj, np.arange(n, dtype=np.int64), num_parts)):
+        assignment[vertices] = k
     return assignment
 
 
@@ -185,9 +186,3 @@ def classify_and_reorder(A, assignment) -> PartitionedSystem:
         C=extract_submatrix(reordered, hi, hi),
         Cg=canonical(Cg),
     )
-
-
-def save_assignment_json(assignment, path) -> None:
-    """Dump the vertex -> subdomain map as a JSON array."""
-    with open(path, "w") as fh:
-        json.dump([int(x) for x in assignment], fh)

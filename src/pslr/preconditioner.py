@@ -39,19 +39,13 @@ class PslrConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("num_subdomains", "series_degree", "rank", "seed"):
+        for name, least in (("num_subdomains", 1), ("series_degree", 0), ("rank", 0), ("seed", 0)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.num_subdomains < 1:
-            raise ValueError("num_subdomains must be >= 1")
-        if self.series_degree < 0:
-            raise ValueError("series_degree must be >= 0")
-        if self.rank < 0:
-            raise ValueError("rank must be >= 0")
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}")
         check_droptol(self.droptol)
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
 
 
 @dataclass

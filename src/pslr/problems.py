@@ -51,16 +51,10 @@ def convdiff3d(spec: ProblemSpec) -> sp.csr_matrix:
     The convection term contributes -+ h*gamma_d/2 on the two axis-d
     neighbors; gamma = 0 reduces to the shifted Laplacian.
     """
-    h = spec.h
-    gx, gy, gz = spec.convection
-    Dx = _axis_operator(spec.nx, h * gx / 2.0)
-    Dy = _axis_operator(spec.ny, h * gy / 2.0)
-    Dz = _axis_operator(spec.nz, h * gz / 2.0)
-    Ix = sp.identity(spec.nx, format="csr")
-    Iy = sp.identity(spec.ny, format="csr")
-    Iz = sp.identity(spec.nz, format="csr")
-    # x fastest: global index = i + nx*(j + ny*k)
-    A = sp.kron(Iz, sp.kron(Iy, Dx)) + sp.kron(Iz, sp.kron(Dy, Ix)) + sp.kron(Dz, sp.kron(Iy, Ix))
+    Dx, Dy, Dz = (_axis_operator(n, spec.h * g / 2.0)
+                  for n, g in zip((spec.nx, spec.ny, spec.nz), spec.convection, strict=True))
+    # kronsum(A, B) runs A's index fastest: global index = i + nx*(j + ny*k)
+    A = sp.kronsum(sp.kronsum(Dx, Dy), Dz)
     if spec.shift != 0.0:
         A = A - spec.shift * sp.identity(spec.n)
     return canonical(A)

@@ -83,7 +83,8 @@ def extract_submatrix(A, rows, cols) -> sp.csr_matrix:
 def read_matrix_market(path) -> sp.csr_matrix:
     """Read a real coordinate Matrix Market file (general or symmetric).
 
-    Symmetric storage is expanded to full; duplicate entries are summed;
+    A symmetric file holds the lower triangle only (an entry above the
+    diagonal is rejected) and is expanded to full; duplicates are summed;
     indices are converted from the file's 1-based convention.  Sizes and
     indices are ASCII integers and values ASCII floats: a size or entry line
     with an underscore or a non-ASCII character, which Python's own number
@@ -133,6 +134,8 @@ def read_matrix_market(path) -> sp.csr_matrix:
             raise MatrixMarketError(f"cannot parse entry '{text}'", line=lineno) from None
         if not (1 <= i <= nrows and 1 <= j <= ncols):
             raise MatrixMarketError(f"index ({i}, {j}) out of declared range {nrows}x{ncols}", line=lineno)
+        if symmetry == "symmetric" and j > i:
+            raise MatrixMarketError(f"entry ({i}, {j}) above the diagonal of a symmetric file", line=lineno)
         if k == nnz:
             raise MatrixMarketError(f"more than the declared {nnz} entries", line=lineno)
         ii.append(i - 1)

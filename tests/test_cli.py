@@ -190,6 +190,20 @@ class TestSolve:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Arnoldi diverged" in err
 
+    @pytest.mark.parametrize("args", [
+        ["solve"],
+        ["solve", "--krylov", "cg"],
+        ["sweep", "--axis", "rank", "--values", "1,2"],
+    ], ids=["gmres", "cg", "sweep"])
+    def test_matrix_near_overflow_is_one_error_line(self, capsys, args):
+        # finite entries of 1e308: the first norm overflows, and numpy's
+        # warning must not come before, or instead of, the one error line
+        code = main([*args, "--problem", "lap3d:4,4,4,1e308", "--s", "2", "--rank", "2"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert "diverged" in err
+
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmSize from /proc")
     def test_address_space_limit_is_an_error(self):
         # SuperLU reserves about 20 times the entries of each factor it is

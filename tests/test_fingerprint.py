@@ -24,7 +24,8 @@ def test_one_and_two_shares_give_the_same_fingerprint(shares, capsys):
     assert one == two and one.count("\n") == 1
     record = json.loads(one)
     assert record["its"] > 0 and record["final_relres"] <= 1e-8
-    assert all(len(record[key].split()) == 3 for key in ("V", "G", "apply", "solution"))
+    assert all(len(record[key].split()) == 3 for key in ("assignment", "perm.forward", "V", "G",
+                                                          "apply", "solution"))
 
 
 def test_matrix_market_file_gives_the_problem_fingerprint(tmp_path, capsys):

@@ -8,7 +8,6 @@ from pslr.partition import (
     _bfs_order,
     classify_and_reorder,
     partition_graph,
-    save_assignment_json,
 )
 from pslr.preconditioner import PslrConfig, build
 from pslr.problems import ProblemSpec, laplacian3d
@@ -185,12 +184,3 @@ class TestClassifyAndReorder:
         assert ps.E.shape == (ps.p, ps.q)
         assert ps.F.shape == (ps.q, ps.p)
         assert ps.C.shape == (ps.q, ps.q)
-
-
-def test_save_assignment_json(tmp_path):
-    import json
-    part = partition_graph(lap1d(6), 2)
-    path = tmp_path / "parts.json"
-    save_assignment_json(part, path)
-    data = json.loads(path.read_text())
-    np.testing.assert_array_equal(data, part)

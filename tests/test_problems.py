@@ -1,13 +1,35 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pslr.problems import (
     ProblemSpec,
+    _axis_operator,
     convdiff3d,
     count_negative_eigs_analytic,
     laplacian3d,
     parse_problem,
 )
+from pslr.sparse import canonical
+
+
+def three_kron(spec: ProblemSpec) -> sp.csr_matrix:
+    """The 7-point stencil as a sum of three nested Kronecker products, one
+    per axis: the oracle for convdiff3d's kronsum."""
+    h = spec.h
+    gx, gy, gz = spec.convection
+    Dx = _axis_operator(spec.nx, h * gx / 2.0)
+    Dy = _axis_operator(spec.ny, h * gy / 2.0)
+    Dz = _axis_operator(spec.nz, h * gz / 2.0)
+    Ix = sp.identity(spec.nx, format="csr")
+    Iy = sp.identity(spec.ny, format="csr")
+    Iz = sp.identity(spec.nz, format="csr")
+    A = sp.kron(Iz, sp.kron(Iy, Dx)) + sp.kron(Iz, sp.kron(Dy, Ix)) + sp.kron(Dz, sp.kron(Iy, Ix))
+    if spec.shift != 0.0:
+        A = A - spec.shift * sp.identity(spec.n)
+    return canonical(A)
 
 
 class TestLaplacian3d:
@@ -77,6 +99,22 @@ class TestConvdiff3d:
         assert A[1, 0] == pytest.approx(-1.0 + t)
         # y and z couplings stay symmetric
         assert A[0, 4] == -1.0 and A[4, 0] == -1.0
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(extents=st.tuples(*[st.integers(1, 6)] * 3),
+           shift=st.one_of(st.sampled_from([0.0, 6.0]), st.floats(-1.0, 8.0)),
+           convection=st.tuples(*[st.one_of(st.sampled_from([0.0, 1e3, -1e3]),
+                                            st.floats(-1e3, 1e3))] * 3))
+    def test_kronsum_gives_the_three_kron_bytes(self, extents, shift, convection):
+        spec = ProblemSpec(*extents, shift=shift, convection=convection)
+        A, want = convdiff3d(spec), three_kron(spec)
+        # scipy's kron stores the zeros of a factor it takes as dense (here on
+        # some grids with nx <= 5 and ny <= 2); the kronsum stores no zero
+        assert not np.any(A.data == 0)
+        want.eliminate_zeros()
+        for part in ("indptr", "indices", "data"):
+            got, ref = getattr(A, part), getattr(want, part)
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), part
 
     def test_convection_breaks_symmetry_only(self):
         spec = ProblemSpec(3, 3, 3, convection=(1.0, 2.0, 3.0))

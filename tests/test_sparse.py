@@ -175,6 +175,9 @@ REJECTIONS = [
     ("cannot parse entry '1_0 1 2.0'", 3, HEADER + "10 10 1\n1_0 1 2.0\n"),
     ("cannot parse entry '\u0661 1 3.0'", 3, HEADER + "2 2 1\n\u0661 1 3.0\n"),
     ("cannot parse entry '1 1 1_0.5'", 3, HEADER + "2 2 1\n1 1 1_0.5\n"),
+    # a symmetric file stores the lower triangle only
+    ("above the diagonal of a symmetric file", 4,
+     "%%MatrixMarket matrix coordinate real symmetric\n2 2 2\n2 1 1.0\n1 2 1.0\n"),
 ]
 
 
@@ -233,9 +236,9 @@ class TestMatrixMarket:
         assert exc.value.line == line
 
     def test_symmetric_duplicates_summed_in_file_order(self, tmp_path):
-        # (2,1) twice and (1,2) once: each entry is followed by its mirror, so
-        # both positions sum 1e16, 1.0 and -1e16 in that order
-        entries = [(1, 1, 2.0), (2, 1, 1e16), (2, 1, 1.0), (1, 2, -1e16), (2, 2, 3.0)]
+        # (2,1) three times: each entry is followed by its mirror, so both
+        # positions sum 1e16, 1.0 and -1e16 in that order
+        entries = [(1, 1, 2.0), (2, 1, 1e16), (2, 1, 1.0), (2, 1, -1e16), (2, 2, 3.0)]
         path = tmp_path / "sym.mtx"
         path.write_text("%%MatrixMarket matrix coordinate real symmetric\n2 2 5\n"
                         + "".join(f"{i} {j} {v!r}\n" for i, j, v in entries))

@@ -6,11 +6,13 @@ builds the preconditioner for the problem string (as `pslr solve --problem`),
 or for the Matrix Market file when PROBLEM names an existing file (as
 `pslr solve --matrix`), with seed 0, runs `pslr solve`'s GMRES on it (tol
 1e-8, maxit 500, no restart), and prints one JSON line.  It holds a sha256
-digest, with dtype and shape, of each CSR array of B's and C0's `L` and `U`,
-of `V` and `G`, of one `apply` and one `apply_original` of a seeded vector
-and of the solution, and then `its`, `fill_total` and `final_relres`.  Two
-commits that print the same line computed the same factors, correction and
-iterates to the bit.
+digest, with dtype and shape, of the partition (`assignment`, vertex ->
+subdomain) and the reordering (`perm.forward`, old -> new index), of each
+CSR array of B's and C0's `L` and `U`, of `V` and `G`, of one `apply` and
+one `apply_original` of a seeded vector and of the solution, and then
+`its`, `fill_total` and `final_relres`.  Two
+commits that print the same line computed the same partition, factors,
+correction and iterates to the bit.
 
 For example, the settings of the benchmark's `l32-indefinite` workload:
 
@@ -40,7 +42,7 @@ def fingerprint(problem: str, s: int, m: int, rank: int, droptol: float) -> dict
     manifest = cli.RunManifest(**source, s=s, m=m, rank=rank, droptol=droptol)
     A = cli._load_matrix(manifest)
     P = preconditioner.build(A, cli._config(manifest))
-    out = {}
+    out = {"assignment": digest(P.system.assignment), "perm.forward": digest(P.system.perm.forward)}
     for name, filu in (("B", P.ctx.b_ilu), ("C0", P.ctx.c0_ilu)):
         for side, T in (("L", filu.L), ("U", filu.U)):
             for part in ("data", "indices", "indptr"):
