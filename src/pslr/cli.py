@@ -23,12 +23,12 @@ import numpy as np
 from . import preconditioner
 from ._main import _THREAD_VARS
 from .diagnostics import DENSE_GUARD, spectrum, spectrum_csv
-from .krylov import NotSpdError, cg, gmres
-from .lowrank import CorrectionSingularError, apply_correction
+from .krylov import cg, gmres
+from .lowrank import apply_correction
 from .preconditioner import PslrConfig, PslrPreconditioner
 from .problems import parse_problem
 from .schur import apply_Err, apply_Es, apply_neumann, apply_S, solve_C0
-from .sparse import read_matrix_market
+from .sparse import check_count, read_matrix_market
 # partition_graph, classify_and_reorder, build_schur_context, arnoldi and build_correction
 # are unused here; they stay because perfbench/spans.py wraps them on this module
 from .lowrank import arnoldi, build_correction  # noqa: F401
@@ -81,9 +81,7 @@ class _Parser(argparse.ArgumentParser):
 
 def nonnegative_int(text) -> int:
     """int(text), rejected below 0; argparse names the type in its message."""
-    value = int(text)
-    if value < 0:
-        raise ValueError(f"{value} < 0")
+    check_count(value := int(text), "value")
     return value
 
 
@@ -292,8 +290,7 @@ def main(argv=None) -> int:
     try:   # numpy stays silent: what it would warn of, an explicit check reports in one line
         with np.errstate(all="ignore"):
             return handler(_manifest_from_args(args))
-    except (OSError, MemoryError, ValueError, ArithmeticError, NotSpdError,
-            CorrectionSingularError) as exc:
+    except (OSError, MemoryError, ValueError, ArithmeticError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 

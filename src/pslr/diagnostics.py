@@ -78,15 +78,10 @@ def dense_schur(ps: PartitionedSystem) -> DenseOracle:
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError("interior block B is singular") from exc
 
-    q = ps.q
-    C0 = np.zeros((q, q))
-    off = 0
-    for size in ps.interface_sizes:
-        C0[off:off + size, off:off + size] = C[off:off + size, off:off + size]
-        off += size
-    Es = C0 - S
-    C0inv = np.linalg.inv(C0)
-    return DenseOracle(B=B, E=E, F=F, C=C, S=S, C0=C0, Es=Es, Cg=C - C0, C0inv=C0inv)
+    Cg = ps.Cg.toarray()
+    C0 = C - Cg
+    return DenseOracle(B=B, E=E, F=F, C=C, S=S, C0=C0, Es=C0 - S, Cg=Cg,
+                       C0inv=np.linalg.inv(C0))
 
 
 def spectrum(M) -> SpectrumReport:

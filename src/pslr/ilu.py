@@ -64,7 +64,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import SuperLU, splu
 
-from .sparse import canonical
+from .sparse import as_indices, as_rows, canonical
 
 
 @dataclass
@@ -388,7 +388,7 @@ def factor_blocks(A, block_sizes, droptol: float = 1e-2) -> BlockILU:
     when this returns or raises, and an exception a child raised is raised
     here."""
     A = canonical(A)
-    sizes = np.asarray(block_sizes, dtype=np.int64)
+    sizes = as_indices(block_sizes, "block sizes")
     if sizes.sum() != A.shape[0] or A.shape[0] != A.shape[1] or np.any(sizes < 0):
         raise ValueError("block sizes do not tile the matrix")
     check_droptol(droptol)
@@ -417,9 +417,7 @@ def factor_blocks(A, block_sizes, droptol: float = 1e-2) -> BlockILU:
 def block_solve(filu: BlockILU, rhs) -> np.ndarray:
     """Solve L U y = rhs, block by block: the sweeps with `lower` and `upper`,
     after dividing by U's diagonal when the factors are split."""
-    rhs = np.asarray(rhs, dtype=np.float64)
-    if rhs.shape[0] != filu.n:
-        raise ValueError(f"rhs has length {rhs.shape[0]}, factors are {filu.n}-dimensional")
+    rhs = as_rows(rhs, filu.n, "rhs")
     if filu.coupled is None:
         return filu.upper.solve(filu.lower.solve(rhs, trans="T"))
     out = rhs / (filu.diag if rhs.ndim == 1 else filu.diag[:, None])

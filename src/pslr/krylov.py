@@ -30,6 +30,8 @@ import numpy as np
 from scipy.linalg.blas import dtrsv
 from scipy.linalg.lapack import dlartg
 
+from .sparse import check_count
+
 
 # below this fraction of the largest ||op(v_i)|| so far, an Arnoldi remainder
 # is rounding noise: a 40x40 operator of rank 10 leaves 1.9e-13 to 3.2e-12 of
@@ -37,7 +39,7 @@ from scipy.linalg.lapack import dlartg
 BREAKDOWN_RTOL = 1e-10
 
 
-class NotSpdError(RuntimeError):
+class NotSpdError(ArithmeticError):
     """CG hit a non-positive curvature direction: matrix not SPD."""
 
 
@@ -70,8 +72,7 @@ def _solve(name, iterate, apply_A, apply_M, b, tol, maxit):
     on the unit-scaled b, called only with bnorm > 0 and tol < 1."""
     if not 0 <= tol < np.inf:
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
-    if maxit < 0:
-        raise ValueError(f"maxit must be >= 0, got {maxit}")
+    check_count(maxit, "maxit")
     if apply_M is None:
         apply_M = _identity
     t0 = time.perf_counter()
@@ -172,8 +173,7 @@ def gmres(apply_A, apply_M, b, tol: float = 1e-8, maxit: int = 500, restart: int
 
     `restart=0` means full GMRES.  Returns (x, SolveReport).
     """
-    if restart < 0:
-        raise ValueError(f"restart must be >= 0, got {restart}")
+    check_count(restart, "restart")
     return _solve("GMRES", partial(_gmres_cycles, restart), apply_A, apply_M, b, tol, maxit)
 
 

@@ -15,12 +15,13 @@ import numpy as np
 import scipy.linalg
 
 from .krylov import arnoldi_steps
+from .sparse import as_rows, check_count
 
 
 SINGULAR_PIVOT_RTOL = 1e-14
 
 
-class CorrectionSingularError(RuntimeError):
+class CorrectionSingularError(ArithmeticError):
     """I - H is numerically singular: the residual operator has an eigenvalue ~ 1."""
 
 
@@ -52,8 +53,7 @@ def arnoldi(op, dim: int, rank: int, seed: int = 0):
     `krylov.arnoldi_steps`, which runs the process).  An operator that
     gives non-finite values raises `ArithmeticError`.
     """
-    if rank < 0:
-        raise ValueError("rank must be >= 0")
+    check_count(rank, "rank")
     rank = min(rank, dim)
     if rank == 0:   # arnoldi_steps yields nothing at 0 steps
         return np.zeros((dim, 0)), np.zeros((0, 0)), 0
@@ -96,9 +96,7 @@ def build_correction(V, H) -> LowRankCorrection:
 
 def apply_correction(lr: LowRankCorrection, y) -> np.ndarray:
     """y + V (G (V^T y)); identity when the correction is empty."""
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape[0] != lr.V.shape[0]:
-        raise ValueError("vector length does not match the correction basis")
+    y = as_rows(y, lr.V.shape[0])
     if lr.rank == 0:   # a copy, as y + 0 would turn -0.0 into +0.0
         return y.copy()
     return y + lr.V @ (lr.G @ (lr.V.T @ y))

@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 
-from .sparse import Permutation, canonical, extract_submatrix, permute_symmetric
+from .sparse import Permutation, canonical, check_count, extract_submatrix, permute_symmetric
 
 
 @dataclass
@@ -122,8 +122,7 @@ def partition_graph(A, num_parts: int) -> np.ndarray:
     if A.shape[0] != A.shape[1]:
         raise ValueError("matrix must be square")
     n = A.shape[0]
-    if num_parts < 1:
-        raise ValueError("number of subdomains must be >= 1")
+    check_count(num_parts, "num_parts", 1)
     if num_parts > n:
         raise ValueError(f"cannot split {n} vertices into {num_parts} subdomains")
     adj = _adjacency(A)

@@ -27,7 +27,7 @@ from .ilu import check_droptol
 from .lowrank import LowRankCorrection, apply_correction, arnoldi, build_correction
 from .partition import PartitionedSystem, classify_and_reorder, partition_graph
 from .schur import SchurContext, apply_Err, apply_neumann, build_schur_context, solve_B
-from .sparse import canonical
+from .sparse import as_rows, canonical, check_count
 
 
 @dataclass(frozen=True)
@@ -40,11 +40,7 @@ class PslrConfig:
 
     def __post_init__(self):
         for name, least in (("num_subdomains", 1), ("series_degree", 0), ("rank", 0), ("seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < least:
-                raise ValueError(f"{name} must be >= {least}")
+            check_count(getattr(self, name), name, least)
         check_droptol(self.droptol)
 
 
@@ -124,10 +120,7 @@ class PslrPreconditioner:
 
     def apply(self, b) -> np.ndarray:
         """z = PSLR(b) in reordered space."""
-        b = np.asarray(b, dtype=np.float64)
-        n = self.system.n
-        if b.shape[0] != n:
-            raise ValueError(f"vector has length {b.shape[0]}, system is {n}-dimensional")
+        b = as_rows(b, self.system.n)
         p = self.system.p
         f, g = b[:p], b[p:]
         if self.system.q == 0:   # saves the B solve that F, with no rows, would discard
@@ -141,7 +134,7 @@ class PslrPreconditioner:
     def apply_original(self, b) -> np.ndarray:
         """Apply in original (unreordered) index space."""
         perm = self.system.perm
-        z = self.apply(np.asarray(b, dtype=np.float64)[perm.inverse])
+        z = self.apply(as_rows(b, self.system.n)[perm.inverse])
         return z[perm.forward]
 
 

@@ -1,6 +1,9 @@
 """7-point-stencil test matrices: shifted 3D Laplacian and shifted
-convection-diffusion on the unit cube with zero Dirichlet boundaries.
+convection-diffusion with zero Dirichlet boundaries.
 
+The grid has the same spacing h = 1/(nx+1) on every axis, so its domain is
+the unit cube only when nx = ny = nz; otherwise it is a box of side
+(n+1) h along the axis with n points.
 Matrices are the h^2-scaled operators: Laplacian diagonal 6, neighbor
 coefficients -1, with the shift sigma (= h^2 * beta) subtracted from the
 diagonal.  Grid ordering is lexicographic with x fastest.
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .sparse import canonical
+from .sparse import canonical, check_count
 
 
 @dataclass(frozen=True)
@@ -25,8 +28,8 @@ class ProblemSpec:
     convection: tuple = (0.0, 0.0, 0.0)   # gamma
 
     def __post_init__(self):
-        if min(self.nx, self.ny, self.nz) < 1:
-            raise ValueError("grid extents must be >= 1")
+        for name in ("nx", "ny", "nz"):
+            check_count(getattr(self, name), name, 1)
 
     @property
     def h(self) -> float:

@@ -19,6 +19,7 @@ import numpy as np
 
 from .ilu import BlockILU, block_solve, factor_blocks
 from .partition import PartitionedSystem
+from .sparse import as_rows, check_count
 
 
 @dataclass
@@ -38,14 +39,6 @@ def build_schur_context(ps: PartitionedSystem, droptol: float = 1e-2) -> SchurCo
                         c0_ilu=factor_blocks(ps.C, ps.interface_sizes, droptol=droptol))
 
 
-def _check_len(ctx, v) -> np.ndarray:
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape[0] != ctx.system.q:
-        raise ValueError(f"vector has length {v.shape[0]}, "
-                         f"interface dimension is {ctx.system.q}")
-    return v
-
-
 def solve_B(ctx: SchurContext, rhs) -> np.ndarray:
     return block_solve(ctx.b_ilu, rhs)
 
@@ -56,13 +49,13 @@ def solve_C0(ctx: SchurContext, rhs) -> np.ndarray:
 
 def apply_S(ctx: SchurContext, v) -> np.ndarray:
     """S v = C v - F B^{-1} (E v)."""
-    v = _check_len(ctx, v)
+    v = as_rows(v, ctx.system.q, "interface vector")
     return ctx.system.C @ v - ctx.system.F @ solve_B(ctx, ctx.system.E @ v)
 
 
 def apply_Es(ctx: SchurContext, v) -> np.ndarray:
     """Es v = (C0 - C) v + F B^{-1} (E v); equals C0 v - S v to roundoff."""
-    v = _check_len(ctx, v)
+    v = as_rows(v, ctx.system.q, "interface vector")
     return ctx.system.F @ solve_B(ctx, ctx.system.E @ v) - ctx.system.Cg @ v
 
 
@@ -71,9 +64,8 @@ def apply_neumann(ctx: SchurContext, m: int, v) -> np.ndarray:
 
     Horner recurrence: exactly m+1 C0-solves and m Es-applies.
     """
-    if m < 0:
-        raise ValueError("series degree m must be >= 0")
-    v = _check_len(ctx, v)
+    check_count(m, "series degree m")
+    v = as_rows(v, ctx.system.q, "interface vector")
     c0v = solve_C0(ctx, v)
     y = c0v
     for _ in range(m):
@@ -83,9 +75,8 @@ def apply_neumann(ctx: SchurContext, m: int, v) -> np.ndarray:
 
 def apply_Err(ctx: SchurContext, m: int, v) -> np.ndarray:
     """Series residual operator (Es C0^{-1})^{m+1} applied to v."""
-    if m < 0:
-        raise ValueError("series degree m must be >= 0")
-    v = _check_len(ctx, v)
+    check_count(m, "series degree m")
+    v = as_rows(v, ctx.system.q, "interface vector")
     y = v
     for _ in range(m + 1):
         y = apply_Es(ctx, solve_C0(ctx, y))

@@ -1,8 +1,12 @@
-"""Sparse matrix utilities: permutations, submatrix extraction, Matrix Market I/O.
+"""Sparse matrix utilities: input checks, permutations, submatrix
+extraction, Matrix Market I/O.
 
 Matrices are scipy.sparse CSR throughout (double precision, sorted column
 indices, no duplicates).  `canonical` normalizes arbitrary input into that
-form; everything else in the package assumes it.
+form; everything else in the package assumes it.  The other inputs are
+checked here too, each kind by one function: `as_rows` takes a vector or a
+block of vectors with a given number of rows, `check_count` an integer
+count with a lower bound, and `as_indices` an integer index array.
 """
 
 from __future__ import annotations
@@ -35,6 +39,33 @@ def canonical(A) -> sp.csr_matrix:
     return A
 
 
+def as_rows(v, n: int, what: str = "vector") -> np.ndarray:
+    """`v` as float64, a vector or a block of vectors in its columns; a
+    `ValueError` unless it has `n` rows, which a scalar never has."""
+    v = np.asarray(v, dtype=np.float64)
+    if v.shape[:1] != (n,):
+        raise ValueError(f"{what} has {v.shape[0] if v.ndim else 'no'} rows, expected {n}")
+    return v
+
+
+def check_count(value, name: str, least: int = 0) -> None:
+    """Reject a `value` that is not an integer, a bool included (numpy
+    integers pass), or that is below `least`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
+def as_indices(a, what: str) -> np.ndarray:
+    """`a` as an int64 array; a `ValueError` when a non-empty `a` holds
+    anything but integers, as the cast would truncate a float or a bool."""
+    a = np.asarray(a)
+    if a.size and a.dtype.kind not in "iu":
+        raise ValueError(f"{what} must hold integers, got dtype {a.dtype}")
+    return a.astype(np.int64, copy=False)
+
+
 @dataclass(frozen=True)
 class Permutation:
     """Bijection on {0..n-1}: forward maps old index -> new index."""
@@ -44,7 +75,7 @@ class Permutation:
 
     @classmethod
     def from_forward(cls, forward) -> "Permutation":
-        forward = np.asarray(forward, dtype=np.int64)
+        forward = as_indices(forward, "forward map")
         n = forward.size
         inverse = np.empty(n, dtype=np.int64)
         if not np.array_equal(np.sort(forward), np.arange(n)):
@@ -70,8 +101,7 @@ def permute_symmetric(A, p: Permutation) -> sp.csr_matrix:
 def extract_submatrix(A, rows, cols) -> sp.csr_matrix:
     """result[a, b] = A[rows[a], cols[b]] for sorted in-range index sets."""
     A = canonical(A)
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
+    rows, cols = as_indices(rows, "row index set"), as_indices(cols, "column index set")
     for name, idx, limit in (("row", rows, A.shape[0]), ("column", cols, A.shape[1])):
         if np.any((idx < 0) | (idx >= limit)):
             raise ValueError(f"{name} index set out of range")

@@ -16,6 +16,8 @@ import pslr.ilu
 import pslr.preconditioner
 from pslr.cli import build_parser, main
 from pslr.diagnostics import dense_schur
+from pslr.krylov import NotSpdError
+from pslr.lowrank import CorrectionSingularError
 from pslr.partition import partition_graph
 from pslr.problems import parse_problem
 from pslr.sparse import write_matrix_market
@@ -157,6 +159,13 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert "correction singular" in err
+
+    @pytest.mark.parametrize("error", [NotSpdError, CorrectionSingularError])
+    def test_breakdown_is_an_arithmetic_error(self, error):
+        # the two tests above exit 1 because `main` catches ArithmeticError,
+        # one of its four failure kinds, and names neither class
+        assert issubclass(error, ArithmeticError)
+        assert error.__name__ not in vars(pslr.cli)
 
     def test_diverging_solve_is_an_error(self, tmp_path, capsys):
         # pivots of 1e-196 and 1e-115 beside entries of 3e8: the

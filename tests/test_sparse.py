@@ -2,9 +2,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from pslr.ilu import factor_blocks, ilut
+from pslr.ilu import block_solve, factor_blocks, ilut
+from pslr.krylov import cg, gmres
+from pslr.lowrank import apply_correction, arnoldi
 from pslr.partition import classify_and_reorder, partition_graph
 from pslr.preconditioner import PslrConfig, build
+from pslr.problems import ProblemSpec, laplacian3d
+from pslr.schur import apply_Err, apply_Es, apply_neumann, apply_S
 from pslr.sparse import (
     MatrixMarketError,
     Permutation,
@@ -57,6 +61,81 @@ class TestCanonical:
         for dtype in (np.float32, np.int16):
             M = np.array([[3, -7], [11, 2]], dtype=dtype)
             np.testing.assert_array_equal(canonical(M).toarray(), M.astype(np.float64))
+
+
+@pytest.fixture(scope="module")
+def built():
+    """A preconditioner with interior and interface rows and a rank-2 correction."""
+    P = build(laplacian3d(ProblemSpec(4, 4, 4, shift=0.1)), PslrConfig(num_subdomains=4, rank=2))
+    assert P.system.p and P.system.q and P.correction.rank == 2
+    return P
+
+
+# every public entry that takes a vector or a block of vectors, each reading it
+# through `as_rows`: (the rows it takes, a call with it)
+_VECTOR_ENTRIES = {
+    "apply": (lambda P: P.system.n, lambda P, v: P.apply(v)),
+    "apply_original": (lambda P: P.system.n, lambda P, v: P.apply_original(v)),
+    "apply_S": (lambda P: P.system.q, lambda P, v: apply_S(P.ctx, v)),
+    "apply_Es": (lambda P: P.system.q, lambda P, v: apply_Es(P.ctx, v)),
+    "apply_neumann": (lambda P: P.system.q, lambda P, v: apply_neumann(P.ctx, 2, v)),
+    "apply_Err": (lambda P: P.system.q, lambda P, v: apply_Err(P.ctx, 2, v)),
+    "block_solve": (lambda P: P.system.p, lambda P, v: block_solve(P.ctx.b_ilu, v)),
+    "apply_correction": (lambda P: P.system.q, lambda P, v: apply_correction(P.correction, v)),
+}
+
+
+@pytest.mark.parametrize("entry", list(_VECTOR_ENTRIES))
+def test_scalar_vector_rejected_where_it_enters(built, entry):
+    rows, call = _VECTOR_ENTRIES[entry]
+    n = rows(built)
+    assert call(built, np.ones(n)).shape == (n,)
+    assert call(built, np.ones((n, 2))).shape == (n, 2)
+    with pytest.raises(ValueError, match=f"has {n + 1} rows, expected {n}"):
+        call(built, np.ones(n + 1))
+    with pytest.raises(ValueError, match=f"has no rows, expected {n}"):
+        call(built, 1.0)
+
+
+# every public entry that takes a count, each reading it through `check_count`;
+# PslrConfig's fields, read the same way, are tested with the config
+_COUNT_ENTRIES = {
+    "ProblemSpec.nx": lambda k, P: ProblemSpec(k, 2, 2),
+    "ProblemSpec.ny": lambda k, P: ProblemSpec(2, k, 2),
+    "ProblemSpec.nz": lambda k, P: ProblemSpec(2, 2, k),
+    "partition_graph": lambda k, P: partition_graph(P.system.matrix, k),
+    "arnoldi": lambda k, P: arnoldi(lambda v: v, 4, k),
+    "apply_neumann": lambda k, P: apply_neumann(P.ctx, k, np.ones(P.system.q)),
+    "apply_Err": lambda k, P: apply_Err(P.ctx, k, np.ones(P.system.q)),
+    "gmres.maxit": lambda k, P: gmres(lambda v: v, None, np.ones(3), maxit=k),
+    "gmres.restart": lambda k, P: gmres(lambda v: v, None, np.ones(3), restart=k),
+    "cg.maxit": lambda k, P: cg(lambda v: v, None, np.ones(3), maxit=k),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, True], ids=["float", "bool"])
+@pytest.mark.parametrize("entry", list(_COUNT_ENTRIES))
+def test_non_integer_count_rejected_where_it_enters(built, entry, value):
+    _COUNT_ENTRIES[entry](np.int64(2), built)   # numpy integers pass
+    with pytest.raises(ValueError, match=f"must be an integer, got {value!r}"):
+        _COUNT_ENTRIES[entry](value, built)
+
+
+# every public entry that takes an index array, each reading it through `as_indices`
+_INDEX_ENTRIES = {
+    "factor_blocks": lambda idx: factor_blocks(sp.identity(2, format="csr"), idx),
+    "Permutation.from_forward": lambda idx: Permutation.from_forward(idx),
+    "extract_submatrix": lambda idx: extract_submatrix(sp.identity(2, format="csr"), idx, [0]),
+}
+
+
+@pytest.mark.parametrize("idx", [[1.5, 1.5], [1.7, 0.2], [True, True], [True, False]],
+                         ids=lambda idx: ",".join(map(str, idx)))
+@pytest.mark.parametrize("entry", list(_INDEX_ENTRIES))
+def test_non_integer_index_array_rejected_where_it_enters(entry, idx):
+    # a cast would truncate each, for some entries into a valid array
+    with pytest.raises(ValueError, match=f"must hold integers, got dtype {np.asarray(idx).dtype}"):
+        _INDEX_ENTRIES[entry](idx)
 
 
 class TestPermutation:
