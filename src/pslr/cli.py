@@ -22,7 +22,7 @@ import numpy as np
 
 from . import preconditioner
 from ._main import _THREAD_VARS
-from .diagnostics import DENSE_GUARD, spectrum, spectrum_csv
+from .diagnostics import check_dense, spectrum, spectrum_csv
 from .krylov import cg, gmres
 from .lowrank import apply_correction
 from .preconditioner import PslrConfig, PslrPreconditioner
@@ -235,9 +235,7 @@ def cmd_spectrum(manifest: RunManifest) -> int:
     (exact at --droptol 0).  It is formed densely, so n is capped at DENSE_GUARD.
     """
     A = _load_matrix(manifest)
-    if A.shape[0] > DENSE_GUARD:
-        raise ValueError(f"dimension {A.shape[0]} exceeds the dense spectrum guard "
-                         f"{DENSE_GUARD}; use a smaller grid")
+    check_dense(A.shape[0])   # before the build, so an oversized A costs no build
     # only precS applies the correction: the other targets build none
     rank = manifest.rank if manifest.target == "precS" else 0
     P = preconditioner.build(A, _config(manifest, rank=rank))

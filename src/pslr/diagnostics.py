@@ -14,8 +14,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .partition import PartitionedSystem
+from .sparse import as_real, check_square
 
 DENSE_GUARD = 4000
+
+
+def check_dense(n: int) -> None:
+    """Reject a dimension n above DENSE_GUARD, the largest formed densely."""
+    if n > DENSE_GUARD:
+        raise ValueError(f"dimension {n} exceeds the dense guard {DENSE_GUARD}; "
+                         "use a smaller matrix")
 
 
 @dataclass
@@ -67,8 +75,7 @@ class SpectrumReport:
 
 def dense_schur(ps: PartitionedSystem) -> DenseOracle:
     """Exact dense assembly of S, C0, Es for a partitioned system."""
-    if ps.n > DENSE_GUARD:
-        raise ValueError(f"system dimension {ps.n} exceeds the dense-oracle guard {DENSE_GUARD}")
+    check_dense(ps.n)
     B = ps.B.toarray()
     E = ps.E.toarray()
     F = ps.F.toarray()
@@ -85,12 +92,10 @@ def dense_schur(ps: PartitionedSystem) -> DenseOracle:
 
 
 def spectrum(M) -> SpectrumReport:
-    """All eigenvalues of a dense square matrix, sorted by modulus descending."""
-    M = np.asarray(M, dtype=np.float64)
-    if M.shape[0] != M.shape[1]:
-        raise ValueError("matrix must be square")
-    if M.shape[0] > DENSE_GUARD:
-        raise ValueError(f"dimension {M.shape[0]} exceeds the dense-oracle guard {DENSE_GUARD}")
+    """All eigenvalues of a dense square real matrix, sorted by modulus descending."""
+    check_square(M)
+    M = as_real(np.asarray(M))
+    check_dense(M.shape[0])
     eigs = np.linalg.eigvals(M)
     order = np.argsort(-np.abs(eigs), kind="stable")
     eigs = eigs[order]
@@ -102,18 +107,17 @@ def spectrum(M) -> SpectrumReport:
     )
 
 
-def _xz(oracle: DenseOracle, m: int, V, H):
+def _bound(oracle: DenseOracle, m: int, V, H):
+    """X = Err - V H V^T, Z^{-1} = (I - V H V^T)^{-1} and the bound ||X||_F ||Z^{-1}||_F."""
     VHVt = V @ H @ V.T
     X = oracle.err_matrix(m) - VHVt
-    Z = np.eye(oracle.q) - VHVt
-    return X, Z
+    Zinv = np.linalg.inv(np.eye(oracle.q) - VHVt)
+    return X, Zinv, float(np.linalg.norm(X, "fro") * np.linalg.norm(Zinv, "fro"))
 
 
 def delta_bound(oracle: DenseOracle, m: int, V, H) -> float:
     """Frobenius-norm bound ||X|| * ||Z^{-1}|| on the relative approximation error."""
-    X, Z = _xz(oracle, m, V, H)
-    Zinv = np.linalg.inv(Z)
-    return float(np.linalg.norm(X, "fro") * np.linalg.norm(Zinv, "fro"))
+    return _bound(oracle, m, V, H)[2]
 
 
 def verify_bound(oracle: DenseOracle, m: int, V, H, G,
@@ -126,13 +130,11 @@ def verify_bound(oracle: DenseOracle, m: int, V, H, G,
     """
     Sinv = np.linalg.inv(oracle.S)
     Sapp = oracle.sapp_inv(m, V, G)
-    X, Z = _xz(oracle, m, V, H)
-    Zinv = np.linalg.inv(Z)
+    X, Zinv, bound = _bound(oracle, m, V, H)
     diff = Sinv - Sapp
     rhs = Sinv @ X @ Zinv
     sinv_norm = np.linalg.norm(Sinv, "fro")
     lhs = float(np.linalg.norm(diff, "fro") / sinv_norm)
-    bound = float(np.linalg.norm(X, "fro") * np.linalg.norm(Zinv, "fro"))
     rhs_norm = np.linalg.norm(rhs, "fro")
     identity_residual = float(np.linalg.norm(diff - rhs, "fro") / (rhs_norm if rhs_norm > 0 else sinv_norm))
     return {

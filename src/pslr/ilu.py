@@ -64,7 +64,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import SuperLU, splu
 
-from .sparse import as_indices, as_rows, canonical
+from .sparse import as_indices, as_rows, canonical, check_nonnegative, check_square
 
 
 @dataclass
@@ -81,12 +81,6 @@ class IluFactor:
         return self.L.nnz + self.U.nnz
 
 
-def check_droptol(droptol: float) -> None:
-    """Reject a NaN, infinite or negative drop tolerance, and a bool."""
-    if isinstance(droptol, (bool, np.bool_)) or not 0 <= droptol < np.inf:
-        raise ValueError(f"droptol must be finite and >= 0, got {droptol}")
-
-
 def ilut(block, droptol: float = 1e-2) -> IluFactor:
     """Incomplete LU of a square block with threshold dropping.
 
@@ -97,11 +91,10 @@ def ilut(block, droptol: float = 1e-2) -> IluFactor:
     `pslr solve --s 4 --m 2 --rank 5` has fill_total 1.20 for A, 0.80 for
     1e10 * A and 2.19 for 1e-10 * A.
     """
+    check_square(block, "block")
     A = canonical(block)
-    if A.shape[0] != A.shape[1]:
-        raise ValueError("block must be square")
     n = A.shape[0]
-    check_droptol(droptol)
+    check_nonnegative(droptol, "droptol")
 
     row_norms = np.sqrt(np.asarray(A.multiply(A).sum(axis=1)).ravel()).tolist()
     a_ptr, a_idx, a_val = A.indptr.tolist(), A.indices.tolist(), A.data.tolist()
@@ -387,11 +380,12 @@ def factor_blocks(A, block_sizes, droptol: float = 1e-2) -> BlockILU:
     for bit, so the result does not depend on k.  Every child has ended
     when this returns or raises, and an exception a child raised is raised
     here."""
+    check_square(A)
     A = canonical(A)
     sizes = as_indices(block_sizes, "block sizes")
-    if sizes.sum() != A.shape[0] or A.shape[0] != A.shape[1] or np.any(sizes < 0):
+    if sizes.sum() != A.shape[0] or np.any(sizes < 0):
         raise ValueError("block sizes do not tile the matrix")
-    check_droptol(droptol)
+    check_nonnegative(droptol, "droptol")
     n = A.shape[0]
     if not sizes.size:   # one empty block for none, as sp.block_diag raises on no blocks
         sizes = np.zeros(1, np.int64)

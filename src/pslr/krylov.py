@@ -1,9 +1,10 @@
 """Right-preconditioned GMRES, preconditioned CG, and the Arnoldi process.
 
-Both solvers keep one contract, held by `_solve`.  They start from x = 0 and
-return (x, SolveReport).  They solve for b scaled by the power of two that
-brings max|b| into [1/2, 1), so ||b|| can neither underflow nor overflow; the
-scaling is exact, so at ordinary scales the iterates are the same to the bit.
+Both solvers keep one contract, held by `_solve`.  They take b as one
+vector, start from x = 0 and return (x, SolveReport).  They solve for b
+scaled by the power of two that brings max|b| into [1/2, 1), so ||b|| can
+neither underflow nor overflow; the scaling is exact, so at ordinary scales
+the iterates are the same to the bit.
 `history` holds the relative residual of each iterate, 1.0 for x = 0 first,
 so `iterations == len(history) - 1`.  Its last entry, the true-system
 ||b - A x|| / ||b|| of the returned x, is `final_relres`, and `converged`
@@ -30,7 +31,7 @@ import numpy as np
 from scipy.linalg.blas import dtrsv
 from scipy.linalg.lapack import dlartg
 
-from .sparse import check_count
+from .sparse import check_count, check_nonnegative
 
 
 # below this fraction of the largest ||op(v_i)|| so far, an Arnoldi remainder
@@ -70,8 +71,9 @@ def _solve(name, iterate, apply_A, apply_M, b, tol, maxit):
     """The contract of the module docstring around `iterate`, a solver's own
     iteration: iterate(apply_A, apply_M, b, bnorm, tol, maxit) -> (x, history)
     on the unit-scaled b, called only with bnorm > 0 and tol < 1."""
-    if not 0 <= tol < np.inf:
-        raise ValueError(f"tol must be finite and >= 0, got {tol}")
+    if np.ndim(b) != 1:
+        raise ValueError(f"b must be a vector, got shape {np.shape(b)}")
+    check_nonnegative(tol, "tol")
     check_count(maxit, "maxit")
     if apply_M is None:
         apply_M = _identity

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg
 
 from .krylov import arnoldi_steps
-from .sparse import as_rows, check_count
+from .sparse import as_rows, check_count, check_square
 
 
 SINGULAR_PIVOT_RTOL = 1e-14
@@ -73,11 +73,12 @@ def build_correction(V, H) -> LowRankCorrection:
     Raises `ArithmeticError` when H is not finite, which the singular-pivot
     test alone would let through: it is False for a NaN pivot.
     """
+    check_square(H, "H")
     V = np.asarray(V, dtype=np.float64)
     H = np.asarray(H, dtype=np.float64)
     r = H.shape[0]
-    if H.shape != (r, r):
-        raise ValueError("H must be square")
+    if V.shape[1:] != (r,):
+        raise ValueError(f"V must have the {r} columns of H, got shape {V.shape}")
     if not np.all(np.isfinite(H)):
         raise ArithmeticError("correction not finite: the Arnoldi Hessenberg matrix has "
                               "non-finite entries")

@@ -24,7 +24,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 
-from .sparse import Permutation, canonical, check_count, extract_submatrix, permute_symmetric
+from .sparse import (Permutation, canonical, check_count, check_square, extract_submatrix,
+                     permute_symmetric)
 
 
 @dataclass
@@ -118,9 +119,8 @@ def partition_graph(A, num_parts: int) -> np.ndarray:
     """Partition A's adjacency graph into `num_parts` balanced subdomains:
     the subdomain number, 0 to num_parts - 1, of every vertex, numbered in
     the order `_bisect` returns the parts."""
+    check_square(A)
     A = canonical(A)
-    if A.shape[0] != A.shape[1]:
-        raise ValueError("matrix must be square")
     n = A.shape[0]
     check_count(num_parts, "num_parts", 1)
     if num_parts > n:

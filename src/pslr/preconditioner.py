@@ -23,11 +23,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .ilu import check_droptol
 from .lowrank import LowRankCorrection, apply_correction, arnoldi, build_correction
 from .partition import PartitionedSystem, classify_and_reorder, partition_graph
 from .schur import SchurContext, apply_Err, apply_neumann, build_schur_context, solve_B
-from .sparse import as_rows, canonical, check_count
+from .sparse import as_rows, canonical, check_count, check_nonnegative, check_square
 
 
 @dataclass(frozen=True)
@@ -41,7 +40,7 @@ class PslrConfig:
     def __post_init__(self):
         for name, least in (("num_subdomains", 1), ("series_degree", 0), ("rank", 0), ("seed", 0)):
             check_count(getattr(self, name), name, least)
-        check_droptol(self.droptol)
+        check_nonnegative(self.droptol, "droptol")
 
 
 @dataclass
@@ -141,9 +140,8 @@ class PslrPreconditioner:
 def build(A, cfg: PslrConfig) -> PslrPreconditioner:
     """Construct the preconditioner for a square sparse matrix of finite values:
     order and factor A, then correct the series-only one with `recorrected`."""
+    check_square(A)
     A = canonical(A)
-    if A.shape[0] != A.shape[1]:
-        raise ValueError("matrix must be square")
     if A.nnz == 0:
         raise ValueError("matrix has no stored entries")
     nonfinite = int(np.count_nonzero(~np.isfinite(A.data)))

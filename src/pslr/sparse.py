@@ -4,14 +4,17 @@ extraction, Matrix Market I/O.
 Matrices are scipy.sparse CSR throughout (double precision, sorted column
 indices, no duplicates).  `canonical` normalizes arbitrary input into that
 form; everything else in the package assumes it.  The other inputs are
-checked here too, each kind by one function: `as_rows` takes a vector or a
-block of vectors with a given number of rows, `check_count` an integer
-count with a lower bound, and `as_indices` an integer index array.
+checked here too, each kind by one function: `check_square` takes a
+square matrix, dense or sparse, `as_real` a matrix that is not complex,
+`as_rows` a vector or a block of vectors with a given number of rows,
+`check_count` an integer count with a lower bound, `check_nonnegative` a
+tolerance, and `as_indices` an integer index array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 import scipy.sparse as sp
@@ -29,14 +32,26 @@ class MatrixMarketError(ValueError):
 
 def canonical(A) -> sp.csr_matrix:
     """Return A as CSR with float64 values, sorted indices, summed duplicates.
-    A complex A is rejected: the cast would keep only its real part."""
-    A = sp.csr_matrix(A, copy=False)
-    if A.dtype.kind == "c":
-        raise ValueError(f"complex matrices are not supported (dtype {A.dtype})")
-    A = A.astype(np.float64, copy=False)
+    A complex A is rejected, by `as_real`."""
+    A = as_real(sp.csr_matrix(A, copy=False))
     A.sum_duplicates()
     A.sort_indices()
     return A
+
+
+def as_real(A):
+    """A dense or sparse `A` as float64; a `ValueError` when it is complex,
+    as the cast would keep only its real part."""
+    if A.dtype.kind == "c":
+        raise ValueError(f"complex matrices are not supported (dtype {A.dtype})")
+    return A.astype(np.float64, copy=False)
+
+
+def check_square(M, what: str = "matrix") -> None:
+    """Reject an `M`, dense or sparse, that is not a 2-D square matrix: a
+    scalar, a vector and None included."""
+    if len(shape := np.shape(M)) != 2 or shape[0] != shape[1]:
+        raise ValueError(f"{what} must be square, got shape {shape}")
 
 
 def as_rows(v, n: int, what: str = "vector") -> np.ndarray:
@@ -55,6 +70,13 @@ def check_count(value, name: str, least: int = 0) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
+def check_nonnegative(value, name: str) -> None:
+    """Reject a `value` that is not a finite real >= 0, a bool included
+    (True and False would compare as 1 and 0)."""
+    if isinstance(value, bool) or not isinstance(value, Real) or not 0 <= value < np.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
 def as_indices(a, what: str) -> np.ndarray:
@@ -89,8 +111,7 @@ class Permutation:
 
 def permute_symmetric(A, p: Permutation) -> sp.csr_matrix:
     """Symmetric permutation: result[p(i), p(j)] = A[i, j]."""
-    if A.shape[0] != A.shape[1]:
-        raise ValueError("matrix must be square")
+    check_square(A)
     if A.shape[0] != len(p):
         raise ValueError(f"permutation over {len(p)} indices, matrix is {A.shape[0]}x{A.shape[0]}")
     A = canonical(A)

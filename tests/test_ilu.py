@@ -279,8 +279,9 @@ class TestIlut:
                 factor(sp.identity(2, format="csr"), droptol=-1.0)
         assert forks == []
 
-    # a bool is rejected too, though True and False compare as 1 and 0
-    @pytest.mark.parametrize("droptol", [np.nan, np.inf, True, False])
+    # a bool is rejected too, though True and False compare as 1 and 0, and
+    # so is anything but a real number
+    @pytest.mark.parametrize("droptol", [np.nan, np.inf, True, False, np.True_, 1j, "0.1"])
     def test_non_finite_droptol_rejected(self, droptol, shares):
         forks = shares(2)
         for factor in _DROPTOL_CHECKS:

@@ -1,4 +1,5 @@
 import platform
+import re
 import subprocess
 import sys
 import textwrap
@@ -385,12 +386,22 @@ class TestWorkspace:
 
 @pytest.mark.parametrize("solver", [gmres, cg])
 @pytest.mark.parametrize("setting", [{"tol": np.nan}, {"tol": -1e-8}, {"maxit": -1},
-                                     {"tol": np.inf}],
-                         ids=["tol-nan", "tol-negative", "maxit-negative", "tol-inf"])
+                                     {"tol": np.inf}, {"tol": True}, {"tol": 1j}],
+                         ids=["tol-nan", "tol-negative", "maxit-negative", "tol-inf", "tol-bool",
+                              "tol-complex"])
 def test_bad_settings_rejected(solver, setting):
     name = next(iter(setting))
     with pytest.raises(ValueError, match=name):
         solver(lambda v: 2.0 * v, None, np.ones(5), **setting)
+
+
+# a scalar or None has no rows to solve for, and a block of right-hand sides
+# would fail inside the iteration, each with an error of numpy's
+@pytest.mark.parametrize("solver", [gmres, cg])
+@pytest.mark.parametrize("b", [None, 1.0, np.ones((3, 2))], ids=["None", "scalar", "block"])
+def test_non_vector_b_rejected(solver, b):
+    with pytest.raises(ValueError, match=re.escape(f"b must be a vector, got shape {np.shape(b)}")):
+        solver(lambda v: v, None, b)
 
 
 def test_negative_restart_rejected():

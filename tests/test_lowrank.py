@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -167,6 +169,14 @@ class TestCorrection:
     def test_nonsquare_H_rejected(self):
         with pytest.raises(ValueError):
             build_correction(np.zeros((4, 2)), np.zeros((3, 2)))
+
+    # a V with other columns than H would fail only when the correction is applied
+    @pytest.mark.parametrize("V", [np.zeros((4, 3)), np.zeros(4), np.zeros((4, 2, 1))],
+                             ids=["3-columns", "vector", "3-D"])
+    def test_V_without_the_columns_of_H_rejected(self, V):
+        want = f"V must have the 2 columns of H, got shape {V.shape}"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            build_correction(V, np.zeros((2, 2)))
 
     def test_storage_accounting(self):
         M = _sym_op(20, 13)

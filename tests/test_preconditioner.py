@@ -31,6 +31,7 @@ class TestConfig:
         {"droptol": np.inf},
         {"droptol": True},
         {"droptol": False},
+        {"droptol": 1j},
         {"num_subdomains": 2.5},
         {"series_degree": 1.5},
         {"rank": 2.5},

@@ -1,10 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from pslr.diagnostics import spectrum
 from pslr.ilu import block_solve, factor_blocks, ilut
 from pslr.krylov import cg, gmres
-from pslr.lowrank import apply_correction, arnoldi
+from pslr.lowrank import apply_correction, arnoldi, build_correction
 from pslr.partition import classify_and_reorder, partition_graph
 from pslr.preconditioner import PslrConfig, build
 from pslr.problems import ProblemSpec, laplacian3d
@@ -20,7 +23,8 @@ from pslr.sparse import (
 )
 
 
-# every public entry that takes a matrix, each reading it through `canonical`
+# every public entry that takes a matrix, each reading it through `canonical`,
+# or `as_real` where it takes a dense one
 _ENTRIES = {
     "build": lambda A, path: build(A, PslrConfig(num_subdomains=2, rank=1)),
     "ilut": lambda A, path: ilut(A),
@@ -30,6 +34,7 @@ _ENTRIES = {
     "permute_symmetric": lambda A, path: permute_symmetric(A, Permutation.from_forward(np.arange(4))),
     "extract_submatrix": lambda A, path: extract_submatrix(A, [0, 1], [2, 3]),
     "write_matrix_market": lambda A, path: write_matrix_market(A, path),
+    "spectrum": lambda A, path: spectrum(A.toarray()),
 }
 
 
@@ -95,6 +100,28 @@ def test_scalar_vector_rejected_where_it_enters(built, entry):
         call(built, np.ones(n + 1))
     with pytest.raises(ValueError, match=f"has no rows, expected {n}"):
         call(built, 1.0)
+
+
+# every public entry that takes a square matrix, each checking it with `check_square`
+_SQUARE_ENTRIES = {
+    "permute_symmetric": lambda M: permute_symmetric(M, Permutation.from_forward([0, 1])),
+    "ilut": lambda M: ilut(M),
+    "factor_blocks": lambda M: factor_blocks(M, [1, 1]),
+    "partition_graph": lambda M: partition_graph(M, 1),
+    "build": lambda M: build(M, PslrConfig(num_subdomains=1, rank=0)),
+    "build_correction.H": lambda M: build_correction(np.zeros((2, 2)), M),
+    "spectrum": lambda M: spectrum(M),
+}
+
+
+@pytest.mark.parametrize("M", [np.ones((2, 3)), sp.csr_matrix(np.ones((2, 3))), np.ones(2), 1.0,
+                               None], ids=["dense-2x3", "sparse-2x3", "vector", "scalar", "None"])
+@pytest.mark.parametrize("entry", list(_SQUARE_ENTRIES))
+def test_non_square_matrix_rejected_where_it_enters(entry, M):
+    _SQUARE_ENTRIES[entry](0.5 * np.eye(2))
+    # scipy would read a scalar as a 1 x 1 matrix and a vector as one row
+    with pytest.raises(ValueError, match=re.escape(f"must be square, got shape {np.shape(M)}")):
+        _SQUARE_ENTRIES[entry](M)
 
 
 # every public entry that takes a count, each reading it through `check_count`;
