@@ -28,7 +28,7 @@ from .lowrank import apply_correction
 from .preconditioner import PslrConfig, PslrPreconditioner
 from .problems import parse_problem
 from .schur import apply_Err, apply_Es, apply_neumann, apply_S, solve_C0
-from .sparse import check_count, read_matrix_market
+from .sparse import check_count, check_nonnegative, read_matrix_market
 # partition_graph, classify_and_reorder, build_schur_context, arnoldi and build_correction
 # are unused here; they stay because perfbench/spans.py wraps them on this module
 from .lowrank import arnoldi, build_correction  # noqa: F401
@@ -59,6 +59,10 @@ class RunManifest:
     target: str | None = None
 
     def __post_init__(self):
+        # before the build, with the checks GMRES and CG make again for library callers
+        check_nonnegative(self.tol, "tol")
+        check_count(self.maxit, "maxit")
+        check_count(self.restart, "restart")
         if self.krylov == "cg" and self.restart:
             raise ValueError(f"--restart {self.restart} applies to GMRES only, "
                              "not --krylov cg")

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .partition import PartitionedSystem
 from .sparse import as_real, check_square
@@ -92,10 +93,11 @@ def dense_schur(ps: PartitionedSystem) -> DenseOracle:
 
 
 def spectrum(M) -> SpectrumReport:
-    """All eigenvalues of a dense square real matrix, sorted by modulus descending."""
+    """All eigenvalues of a square real matrix, dense or sparse, sorted by
+    modulus descending."""
     check_square(M)
-    M = as_real(np.asarray(M))
-    check_dense(M.shape[0])
+    check_dense(np.shape(M)[0])   # before a sparse M is made dense
+    M = as_real(M.toarray() if sp.issparse(M) else np.asarray(M))
     eigs = np.linalg.eigvals(M)
     order = np.argsort(-np.abs(eigs), kind="stable")
     eigs = eigs[order]

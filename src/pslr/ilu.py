@@ -20,14 +20,15 @@ The blocks of one matrix are factored in as many processes as the
 affinity mask has CPUs, each with a contiguous share of the blocks of about
 equal nnz, and no share smaller than a fork is worth (see
 `factor_blocks`).  The children are forked, so they read the matrix from
-the memory they inherit; each pins itself to a CPU of its own, the caller's
-mask is left as it is, and each sends one pickled object back through a
-pipe: its factors, or the exception it raised.  The caller gathers the
-shares in block order.  Only the ILUT row loop runs in the children; the
-factors are assembled and prepared in the caller's process.  A block's
-factors depend on nothing but the block and droptol, so they are the same
-bits whichever process made them, and the result does not depend on the
-number of processes.  `taskset -c 0` gives a one-process build.
+the memory they inherit, and each sends one pickled object back through a
+pipe: its factors, or the exception it raised.  Only the number of
+processes is chosen here; the OS scheduler places them on the CPUs of the
+mask, which no process changes.  The caller gathers the shares in block
+order.  Only the ILUT row loop runs in the children; the factors are
+assembled and prepared in the caller's process.  A block's factors depend
+on nothing but the block and droptol, so they are the same bits whichever
+process made them, and the result does not depend on the number of
+processes.  `taskset -c 0` gives a one-process build.
 
 The assembled block factors are prepared for solving once, when they are
 built: each triangular factor becomes the upper factor of a SuperLU object
@@ -260,12 +261,12 @@ def _prepare(T: sp.csc_matrix) -> SuperLU:
 _SHARE_NNZ = 20_000
 
 
-def _cpus() -> list[int]:
-    """The CPUs in the affinity mask, or none where the OS cannot report
-    the mask or fork."""
+def _cpus() -> int:
+    """The number of CPUs in the affinity mask, or 1 where the OS cannot
+    report the mask or fork."""
     if not (hasattr(os, "sched_getaffinity") and hasattr(os, "fork")):
-        return []
-    return sorted(os.sched_getaffinity(0))
+        return 1
+    return len(os.sched_getaffinity(0))
 
 
 def _shares(weights, k: int) -> list[tuple[int, int]]:
@@ -282,11 +283,11 @@ def _ilut_range(A, offsets, lo, hi, droptol) -> list[IluFactor]:
             for b in range(lo, hi)]
 
 
-def _fork_share(A, offsets, share, droptol, cpu):
-    """Fork a child that runs on `cpu`, ILUTs the blocks of `share` and
-    pickles one object to a pipe: their factors, or the exception it
-    raised.  Returns the child's pid and the pipe's read end, or None when
-    no process can be forked."""
+def _fork_share(A, offsets, share, droptol):
+    """Fork a child that ILUTs the blocks of `share` and pickles one object
+    to a pipe: their factors, or the exception it raised.  Returns the
+    child's pid and the pipe's read end, or None when no process can be
+    forked."""
     r, w = os.pipe()
     try:
         with warnings.catch_warnings():
@@ -305,10 +306,6 @@ def _fork_share(A, offsets, share, droptol, cpu):
         code = 1
         try:
             os.close(r)
-            try:   # a child left on its parent's CPU would share it with the caller
-                os.sched_setaffinity(0, {cpu})
-            except OSError:
-                pass
             try:
                 result = _ilut_range(A, offsets, *share, droptol)
             except BaseException as exc:
@@ -326,18 +323,16 @@ def _fork_share(A, offsets, share, droptol, cpu):
 
 def _ilut_blocks(A, offsets, droptol) -> list[IluFactor]:
     """ILUT of every block, in shares of about equal nnz.  A forked child
-    factors each share after the first, pinned to a CPU of its own, and
-    sends back its factors or its exception.  The caller's thread, its mask
-    left as it is, factors the first share and any share no process could
-    be forked for, and gathers the shares in block order."""
-    cpus = _cpus()
+    factors each share after the first and sends back its factors or its
+    exception.  The caller's thread factors the first share and any share
+    no process could be forked for, and gathers the shares in block order."""
     weights = np.diff(A.indptr[offsets])
-    k = min(len(cpus), offsets.size - 1, int(weights.sum()) // _SHARE_NNZ)
+    k = min(_cpus(), offsets.size - 1, int(weights.sum()) // _SHARE_NNZ)
     shares = _shares(weights, max(1, k))
     factors, children = [], {}   # children: share -> (pid, read end) of its child
     try:
-        for share, cpu in zip(shares[1:], cpus[1:]):
-            if (child := _fork_share(A, offsets, share, droptol, cpu)) is not None:
+        for share in shares[1:]:
+            if (child := _fork_share(A, offsets, share, droptol)) is not None:
                 children[share] = child
         for lo, hi in shares:
             if (lo, hi) not in children:
@@ -370,16 +365,16 @@ def factor_blocks(A, block_sizes, droptol: float = 1e-2) -> BlockILU:
     """ILUT each diagonal block of A, with blocks given by `block_sizes`;
     the entries outside the blocks are never read.
 
-    The blocks are factored in k processes: one per CPU in the affinity
-    mask, but no more than there are blocks, or multiples of `_SHARE_NNZ`
-    entries in the blocks' rows.  The block list is cut into k contiguous
-    shares of about equal nnz; the calling thread factors the first, and a
-    forked child, pinned to a CPU of its own, each of the others; the
-    caller's affinity mask is not changed.  Each block's ILUT is
-    independent and deterministic, and pickle carries its factors back bit
-    for bit, so the result does not depend on k.  Every child has ended
-    when this returns or raises, and an exception a child raised is raised
-    here."""
+    The blocks are factored in k processes: as many as the affinity mask
+    has CPUs, but no more than there are blocks, or multiples of
+    `_SHARE_NNZ` entries in the blocks' rows.  The block list is cut into k
+    contiguous shares of about equal nnz; the calling thread factors the
+    first, and a forked child each of the others.  Which CPU runs which
+    process is left to the OS scheduler; no affinity mask is changed.
+    Each block's ILUT is independent and deterministic, and pickle carries
+    its factors back bit for bit, so the result does not depend on k.
+    Every child has ended when this returns or raises, and an exception a
+    child raised is raised here."""
     check_square(A)
     A = canonical(A)
     sizes = as_indices(block_sizes, "block sizes")

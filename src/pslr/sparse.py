@@ -34,8 +34,7 @@ def canonical(A) -> sp.csr_matrix:
     """Return A as CSR with float64 values, sorted indices, summed duplicates.
     A complex A is rejected, by `as_real`."""
     A = as_real(sp.csr_matrix(A, copy=False))
-    A.sum_duplicates()
-    A.sort_indices()
+    A.sum_duplicates()   # sorts the indices too
     return A
 
 

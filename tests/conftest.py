@@ -37,8 +37,8 @@ def shares(monkeypatch):
     """`shares(k)` makes `factor_blocks` cut any matrix into k shares, or one
     per block if fewer, by faking a k-CPU affinity mask and lifting the
     least nnz of a share.  It returns the list of the `os.fork` calls this
-    process makes.  Only the forked children pin themselves, so the calling
-    thread's real mask is never changed."""
+    process makes.  `factor_blocks` reads only the size of the mask and
+    sets none, so the fake mask places no process."""
     fork = os.fork
     forks = []
 

@@ -309,10 +309,15 @@ class TestSolve:
         ["--krylov", "cg", "--restart", "5"],
     ], ids=["droptol-nan", "droptol-inf", "tol-nan", "tol-negative", "maxit-negative",
             "restart-negative", "cg-maxit-negative", "tol-inf", "cg-restart"])
-    def test_bad_setting_is_an_error(self, capsys, args):
-        assert main(["solve", "--problem", PROBLEM, "--s", "4", *args]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and err.count("\n") == 1, err
+    def test_bad_setting_is_an_error(self, capsys, monkeypatch, args):
+        # rejected before the build, on every subcommand that solves
+        def no_build(A, cfg):
+            raise AssertionError("built before the settings were checked")
+        monkeypatch.setattr(pslr.preconditioner, "build", no_build)
+        for command in (["solve"], ["sweep", "--axis", "rank", "--values", "0"]):
+            assert main([*command, "--problem", PROBLEM, "--s", "4", *args]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and err.count("\n") == 1, err
 
     @pytest.mark.parametrize("rank", ["0", "3"])
     def test_negative_seed_is_an_error(self, capsys, rank):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from pslr.diagnostics import (
     DENSE_GUARD,
@@ -77,7 +78,6 @@ class TestDenseSchur:
             dense_schur(ps)
 
     def test_singular_B_raises(self):
-        import scipy.sparse as sp
         # two decoupled singular 2x2 interior blocks around one interface
         A = sp.csr_matrix(np.array([
             [1., 1, 0, 1, 0],
@@ -110,6 +110,17 @@ class TestSpectrum:
     def test_nonsquare_rejected(self):
         with pytest.raises(ValueError):
             spectrum(np.zeros((2, 3)))
+
+    def test_sparse_reads_as_its_dense_array(self):
+        A = random_sparse(6, density=0.4, seed=1)
+        assert (A != A.T).nnz
+        sparse, dense = spectrum(A), spectrum(A.toarray())
+        np.testing.assert_array_equal(sparse.eigenvalues, dense.eigenvalues)
+        assert (sparse.spectral_radius, sparse.num_modulus_gt_one, sparse.num_negative_real) == \
+            (dense.spectral_radius, dense.num_modulus_gt_one, dense.num_negative_real)
+        # the guard comes first, so an oversized sparse matrix is never made dense
+        with pytest.raises(ValueError, match=f"dimension {DENSE_GUARD + 1} exceeds the dense guard"):
+            spectrum(sp.identity(DENSE_GUARD + 1, format="csr"))
 
     def test_csv_roundtrip(self):
         rep = spectrum(np.array([[0.0, -1.0], [1.0, 0.0]]))  # eigenvalues +-i

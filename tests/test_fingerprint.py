@@ -25,7 +25,10 @@ def test_one_and_two_shares_give_the_same_fingerprint(shares, capsys):
     record = json.loads(one)
     assert record["its"] > 0 and record["final_relres"] <= 1e-8
     assert all(len(record[key].split()) == 3 for key in ("assignment", "perm.forward", "V", "G",
-                                                          "apply", "solution"))
+                                                          "apply", "solution", "history"))
+    # one history entry per iteration and the initial residual
+    assert record["history"].endswith(f" float64 {record['its'] + 1}")
+    assert record["pivot_repairs"] == 0
 
 
 def test_matrix_market_file_gives_the_problem_fingerprint(tmp_path, capsys):

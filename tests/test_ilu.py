@@ -410,8 +410,8 @@ class TestFanOut:
         factor_blocks(A, sizes, droptol=droptol)
 
     def test_caller_keeps_its_cpu_mask(self, shares, monkeypatch):
-        # only the forked children pin themselves: the calling thread, while
-        # it factors its own share, still runs on every CPU it had
+        # the fan-out sets no mask: the calling thread, while it factors its
+        # own share, still runs on every CPU it had
         real = os.sched_getaffinity
         before = real(0)
         seen = []

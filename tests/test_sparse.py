@@ -24,7 +24,7 @@ from pslr.sparse import (
 
 
 # every public entry that takes a matrix, each reading it through `canonical`,
-# or `as_real` where it takes a dense one
+# or `as_real` where it takes a dense one (`spectrum` takes either)
 _ENTRIES = {
     "build": lambda A, path: build(A, PslrConfig(num_subdomains=2, rank=1)),
     "ilut": lambda A, path: ilut(A),
@@ -35,6 +35,7 @@ _ENTRIES = {
     "extract_submatrix": lambda A, path: extract_submatrix(A, [0, 1], [2, 3]),
     "write_matrix_market": lambda A, path: write_matrix_market(A, path),
     "spectrum": lambda A, path: spectrum(A.toarray()),
+    "spectrum-sparse": lambda A, path: spectrum(A),
 }
 
 

@@ -9,10 +9,10 @@ or for the Matrix Market file when PROBLEM names an existing file (as
 digest, with dtype and shape, of the partition (`assignment`, vertex ->
 subdomain) and the reordering (`perm.forward`, old -> new index), of each
 CSR array of B's and C0's `L` and `U`, of `V` and `G`, of one `apply` and
-one `apply_original` of a seeded vector and of the solution, and then
-`its`, `fill_total` and `final_relres`.  Two
-commits that print the same line computed the same partition, factors,
-correction and iterates to the bit.
+one `apply_original` of a seeded vector, of the solution and of the
+residual history, and then `its`, `fill_total`, `pivot_repairs` and
+`final_relres`.  Two commits that print the same line computed the same
+partition, factors, correction and iterates to the bit.
 
 For example, the settings of the benchmark's `l32-indefinite` workload:
 
@@ -54,8 +54,9 @@ def fingerprint(problem: str, s: int, m: int, rank: int, droptol: float) -> dict
     out["apply_original"] = digest(P.apply_original(v))
     x, report = cli._solve_with(A, P, manifest)
     out["solution"] = digest(x)
+    out["history"] = digest(report.history)
     out.update(its=report.iterations, fill_total=P.stats.fill_total,
-               final_relres=report.final_relres)
+               pivot_repairs=P.stats.pivot_repairs, final_relres=report.final_relres)
     return out
 
 
