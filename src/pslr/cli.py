@@ -13,10 +13,11 @@ exhausted), 2 solver failed to converge.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass, asdict, field, replace
 
 import numpy as np
 
@@ -66,6 +67,9 @@ class RunManifest:
         if self.krylov == "cg" and self.restart:
             raise ValueError(f"--restart {self.restart} applies to GMRES only, "
                              "not --krylov cg")
+        for path in (self.out, self.partition_out):   # what the final write would raise
+            if path and not os.path.isdir(os.path.dirname(path) or "."):
+                raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -127,10 +131,11 @@ def _load_matrix(manifest: RunManifest):
     return parse_problem(manifest.problem)[1]
 
 
-def _config(manifest: RunManifest, **changes) -> PslrConfig:
-    settings = dict(num_subdomains=manifest.s, series_degree=manifest.m, rank=manifest.rank,
-                    droptol=manifest.droptol, seed=manifest.seed)
-    return PslrConfig(**{**settings, **changes})
+def _config(manifest: RunManifest, **flags) -> PslrConfig:
+    """The build settings of `manifest`, with the flags in `flags` (s, m, rank) changed."""
+    run = replace(manifest, **flags)
+    return PslrConfig(num_subdomains=run.s, series_degree=run.m, rank=run.rank,
+                      droptol=run.droptol, seed=run.seed)
 
 
 def _solve_with(A, P: PslrPreconditioner, manifest: RunManifest):
@@ -177,8 +182,9 @@ def _emit(text: str, out_path):
 
 
 def cmd_solve(manifest: RunManifest) -> int:
+    config = _config(manifest)
     A = _load_matrix(manifest)
-    P = preconditioner.build(A, _config(manifest))
+    P = preconditioner.build(A, config)
     if manifest.partition_out:
         _emit(json.dumps(P.system.assignment.tolist()), manifest.partition_out)
     _, report = _solve_with(A, P, manifest)
@@ -195,30 +201,27 @@ SWEEP_COLUMNS = {"its": "{}", "converged": "{}", "fill_ilu": "{:.6f}", "fill_low
 def cmd_sweep(manifest: RunManifest) -> int:
     """Run cmd_solve across one axis (s, m or rank), one CSV row per value.
 
-    An s sweep builds once per value. m and rank sweeps build once (rank 0,
-    or the largest rank) and derive every row with `recorrected`, reusing the
-    partition and the ILU factors, and on the rank axis the Arnoldi basis.
+    Every row's config is made, and so checked, before the matrix is read.
+    An s sweep builds each row's config. m and rank sweeps build one, the
+    first with the largest rank, and derive every row from it with
+    `recorrected`: one partition and one set of ILU factors for all rows, and
+    the Arnoldi basis for each row at the built series degree.
     """
+    configs = [_config(manifest, **{manifest.axis: value}) for value in manifest.values]
     A = _load_matrix(manifest)
-    axis = manifest.axis
-    values = manifest.values
-
-    if axis == "s":
-        derive = lambda s: preconditioner.build(A, _config(manifest, num_subdomains=s))
-    elif axis == "m":
-        base = preconditioner.build(A, _config(manifest, rank=0))
-        derive = lambda m: base.recorrected(m, manifest.rank)
+    if manifest.axis == "s":
+        derive = lambda config: preconditioner.build(A, config)
     else:
-        base = preconditioner.build(A, _config(manifest, rank=max(values)))
-        derive = lambda rank: base.recorrected(manifest.m, rank)
+        base = preconditioner.build(A, max(configs, key=lambda config: config.rank))
+        derive = lambda config: base.recorrected(config.series_degree, config.rank)
 
     lines = [",".join(["axis", "value", *SWEEP_COLUMNS])]
-    for value in values:
-        P = derive(value)
+    for value, config in zip(manifest.values, configs):
+        P = derive(config)
         _, report = _solve_with(A, P, manifest)
         row = _stats_payload(P, report, manifest)
-        lines.append(",".join([axis, str(value)] + [fmt.format(row[key])
-                                                    for key, fmt in SWEEP_COLUMNS.items()]))
+        lines.append(",".join([manifest.axis, str(value)] + [
+            fmt.format(row[key]) for key, fmt in SWEEP_COLUMNS.items()]))
     _emit("\n".join(lines) + "\n", manifest.out)
     return 0
 
@@ -238,11 +241,11 @@ def cmd_spectrum(manifest: RunManifest) -> int:
     The operator is the one a solve applies, with the ILUT factors at --droptol
     (exact at --droptol 0).  It is formed densely, so n is capped at DENSE_GUARD.
     """
+    # only precS applies the correction: the other targets build none
+    config = _config(manifest, rank=manifest.rank if manifest.target == "precS" else 0)
     A = _load_matrix(manifest)
     check_dense(A.shape[0])   # before the build, so an oversized A costs no build
-    # only precS applies the correction: the other targets build none
-    rank = manifest.rank if manifest.target == "precS" else 0
-    P = preconditioner.build(A, _config(manifest, rank=rank))
+    P = preconditioner.build(A, config)
     M = SPECTRUM_TARGETS[manifest.target](P, np.eye(P.system.q))
     _emit(spectrum_csv(spectrum(M)), manifest.out)
     return 0

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .partition import PartitionedSystem
-from .sparse import as_real, check_square
+from .sparse import as_real, check_count, check_square
 
 DENSE_GUARD = 4000
 
@@ -47,6 +47,7 @@ class DenseOracle:
 
     def series_matrix(self, m: int) -> np.ndarray:
         """sum_{i=0}^{m} (C0^{-1} Es)^i C0^{-1} formed explicitly."""
+        check_count(m, "series degree m")
         T = self.C0inv @ self.Es
         acc = self.C0inv.copy()
         term = self.C0inv.copy()
@@ -57,6 +58,7 @@ class DenseOracle:
 
     def err_matrix(self, m: int) -> np.ndarray:
         """(Es C0^{-1})^{m+1}."""
+        check_count(m, "series degree m")
         T = self.Es @ self.C0inv
         return np.linalg.matrix_power(T, m + 1)
 

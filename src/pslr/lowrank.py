@@ -53,7 +53,8 @@ def arnoldi(op, dim: int, rank: int, seed: int = 0):
     `krylov.arnoldi_steps`, which runs the process).  An operator that
     gives non-finite values raises `ArithmeticError`.
     """
-    check_count(rank, "rank")
+    for value, name in ((dim, "dim"), (rank, "rank"), (seed, "seed")):
+        check_count(value, name)
     rank = min(rank, dim)
     if rank == 0:   # arnoldi_steps yields nothing at 0 steps
         return np.zeros((dim, 0)), np.zeros((0, 0)), 0

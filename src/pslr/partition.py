@@ -137,6 +137,7 @@ def classify_and_reorder(A, assignment) -> PartitionedSystem:
 
     `assignment[i]` is vertex i's subdomain number; the subdomains are
     numbered 0 to its max, and a number no vertex takes has empty blocks."""
+    check_square(A)
     A = canonical(A)
     n = A.shape[0]
     part = np.asarray(assignment)

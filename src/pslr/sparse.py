@@ -3,12 +3,12 @@ extraction, Matrix Market I/O.
 
 Matrices are scipy.sparse CSR throughout (double precision, sorted column
 indices, no duplicates).  `canonical` normalizes arbitrary input into that
-form; everything else in the package assumes it.  The other inputs are
-checked here too, each kind by one function: `check_square` takes a
-square matrix, dense or sparse, `as_real` a matrix that is not complex,
-`as_rows` a vector or a block of vectors with a given number of rows,
-`check_count` an integer count with a lower bound, `check_nonnegative` a
-tolerance, and `as_indices` an integer index array.
+form, never changing its argument; everything else in the package assumes
+it.  The other inputs are checked here too, each kind by one function:
+`check_square` takes a square matrix, dense or sparse, `as_real` a matrix
+that is not complex, `as_rows` a vector or a block of vectors with a given
+number of rows, `check_count` an integer count with a lower bound,
+`check_nonnegative` a tolerance, and `as_indices` an integer index array.
 """
 
 from __future__ import annotations
@@ -34,7 +34,9 @@ def canonical(A) -> sp.csr_matrix:
     """Return A as CSR with float64 values, sorted indices, summed duplicates.
     A complex A is rejected, by `as_real`."""
     A = as_real(sp.csr_matrix(A, copy=False))
-    A.sum_duplicates()   # sorts the indices too
+    if not A.has_canonical_format:   # on a copy: A may share its arrays with the argument
+        A = A.copy()
+        A.sum_duplicates()   # sorts the indices too
     return A
 
 

@@ -307,17 +307,50 @@ class TestSolve:
         ["--krylov", "cg", "--maxit", "-1"],
         ["--tol", "inf"],
         ["--krylov", "cg", "--restart", "5"],
+        ["--s", "0"],
+        ["--m", "-1"],
+        ["--rank", "-1"],
+        ["--seed", "-1"],
+        ["--droptol", "-1"],
+        ["--axis", "m", "--values", "3,-1"],
+        ["--axis", "rank", "--values", "30,-1"],
+        ["--axis", "s", "--values", "4,0"],
     ], ids=["droptol-nan", "droptol-inf", "tol-nan", "tol-negative", "maxit-negative",
-            "restart-negative", "cg-maxit-negative", "tol-inf", "cg-restart"])
+            "restart-negative", "cg-maxit-negative", "tol-inf", "cg-restart", "s-zero",
+            "m-negative", "rank-negative", "seed-negative", "droptol-negative",
+            "m-values", "rank-values", "s-values"])
     def test_bad_setting_is_an_error(self, capsys, monkeypatch, args):
-        # rejected before the build, on every subcommand that solves
-        def no_build(A, cfg):
-            raise AssertionError("built before the settings were checked")
-        monkeypatch.setattr(pslr.preconditioner, "build", no_build)
-        for command in (["solve"], ["sweep", "--axis", "rank", "--values", "0"]):
+        # rejected before the matrix is read, on every subcommand that reads the setting
+        def not_read(manifest):
+            raise AssertionError("matrix read before the settings were checked")
+        monkeypatch.setattr(pslr.cli, "_load_matrix", not_read)
+        if "--axis" in args:
+            commands = [["sweep"]]
+        else:   # a rank sweep does not read --rank, nor an m sweep --m
+            axis = "m" if args[0] == "--rank" else "rank"
+            commands = [["solve"], ["sweep", "--axis", axis, "--values", "0"]]
+            if args[0] in ("--s", "--m", "--rank", "--seed", "--droptol"):
+                commands.append(["spectrum", "--target", "precS"])
+        for command in commands:
             assert main([*command, "--problem", PROBLEM, "--s", "4", *args]) == 1
-            err = capsys.readouterr().err
-            assert err.startswith("error:") and err.count("\n") == 1, err
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error:") and captured.err.count("\n") == 1, captured
+            assert captured.out == ""
+
+    @pytest.mark.parametrize("command", [
+        ["solve", "--out"], ["solve", "--partition-out"],
+        ["sweep", "--axis", "rank", "--values", "0", "--out"],
+        ["spectrum", "--target", "Err", "--out"],
+    ], ids=["solve-out", "solve-partition-out", "sweep-out", "spectrum-out"])
+    def test_missing_output_directory_is_an_error(self, capsys, monkeypatch, tmp_path, command):
+        # rejected before the matrix is read, with the message the write would give
+        def not_read(manifest):
+            raise AssertionError("matrix read before the output path was checked")
+        monkeypatch.setattr(pslr.cli, "_load_matrix", not_read)
+        path = str(tmp_path / "missing" / "result")
+        assert main([*command, path, "--problem", PROBLEM]) == 1
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{path}'\n"
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("rank", ["0", "3"])
     def test_negative_seed_is_an_error(self, capsys, rank):
@@ -456,7 +489,7 @@ class TestSweep:
         calls, ranks = self._count_stages(monkeypatch)
         self._sweep(tmp_path, "--axis", "m", "--values", "0,1,2")
         assert calls == {"partition_graph": 1, "build_schur_context": 1}
-        assert ranks == [6, 6, 6]   # one run per m; the rank-0 build runs none
+        assert ranks == [6, 6, 6]   # one run per m; the m=0 row reuses the build's run
 
     def test_rank_sweep_runs_arnoldi_once(self, tmp_path, monkeypatch):
         calls, ranks = self._count_stages(monkeypatch)

@@ -55,6 +55,17 @@ class TestDenseSchur:
             rhs = np.eye(oracle.q) - oracle.err_matrix(m)
             np.testing.assert_allclose(lhs, rhs, atol=1e-11)
 
+    def test_negative_series_degree_rejected(self, lap3d_small_system):
+        # -1 would give series_matrix(0) and the identity for Err, so a bound for Err = I
+        _, ps = lap3d_small_system
+        oracle = dense_schur(ps)
+        V, H = np.zeros((oracle.q, 0)), np.zeros((0, 0))
+        for call in (lambda: oracle.series_matrix(-1), lambda: oracle.err_matrix(-1),
+                     lambda: oracle.sapp_inv(-1, V, H), lambda: delta_bound(oracle, -1, V, H),
+                     lambda: verify_bound(oracle, -1, V, H, H)):
+            with pytest.raises(ValueError, match="series degree m must be >= 0, got -1"):
+                call()
+
     def test_no_interior(self):
         # 2x2x2 grid in four pairs: every vertex couples to another pair, so p = 0
         ps = partitioned(laplacian3d(ProblemSpec(2, 2, 2)), 4)

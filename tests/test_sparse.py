@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from pslr.diagnostics import spectrum
+from pslr.diagnostics import dense_schur, spectrum
 from pslr.ilu import block_solve, factor_blocks, ilut
 from pslr.krylov import cg, gmres
 from pslr.lowrank import apply_correction, arnoldi, build_correction
@@ -68,6 +68,24 @@ class TestCanonical:
             M = np.array([[3, -7], [11, 2]], dtype=dtype)
             np.testing.assert_array_equal(canonical(M).toarray(), M.astype(np.float64))
 
+    @pytest.mark.parametrize("entry", list(_ENTRIES))
+    def test_argument_keeps_its_arrays(self, entry, tmp_path):
+        # each row's columns reversed and its diagonal split in two: scipy's
+        # in-place sum_duplicates would sort and sum the caller's arrays
+        dense = np.diag([4.0, 4.0, 4.0, 4.0]) - np.eye(4, k=1) - np.eye(4, k=-1)
+        data, indices, indptr = [], [], [0]
+        for i, row in enumerate(dense):
+            cols = [j for j in range(3, -1, -1) if row[j] and j != i]
+            data += [row[j] for j in cols] + [1.0, row[i] - 1.0]
+            indices += cols + [i, i]
+            indptr.append(len(data))
+        A = sp.csr_matrix((np.array(data), np.array(indices), np.array(indptr)), shape=(4, 4))
+        assert not A.has_canonical_format and np.array_equal(A.toarray(), dense)
+        arrays = [a.copy() for a in (A.data, A.indices, A.indptr)]
+        _ENTRIES[entry](A, tmp_path / "a.mtx")
+        for before, after in zip(arrays, (A.data, A.indices, A.indptr)):
+            assert before.dtype == after.dtype and before.tobytes() == after.tobytes()
+
 
 @pytest.fixture(scope="module")
 def built():
@@ -109,6 +127,7 @@ _SQUARE_ENTRIES = {
     "ilut": lambda M: ilut(M),
     "factor_blocks": lambda M: factor_blocks(M, [1, 1]),
     "partition_graph": lambda M: partition_graph(M, 1),
+    "classify_and_reorder": lambda M: classify_and_reorder(M, [0, 0]),
     "build": lambda M: build(M, PslrConfig(num_subdomains=1, rank=0)),
     "build_correction.H": lambda M: build_correction(np.zeros((2, 2)), M),
     "spectrum": lambda M: spectrum(M),
@@ -133,6 +152,10 @@ _COUNT_ENTRIES = {
     "ProblemSpec.nz": lambda k, P: ProblemSpec(2, 2, k),
     "partition_graph": lambda k, P: partition_graph(P.system.matrix, k),
     "arnoldi": lambda k, P: arnoldi(lambda v: v, 4, k),
+    "arnoldi.dim": lambda k, P: arnoldi(lambda v: v, k, 2),
+    "arnoldi.seed": lambda k, P: arnoldi(lambda v: v, 4, 2, seed=k),
+    "DenseOracle.series_matrix": lambda k, P: dense_schur(P.system).series_matrix(k),
+    "DenseOracle.err_matrix": lambda k, P: dense_schur(P.system).err_matrix(k),
     "apply_neumann": lambda k, P: apply_neumann(P.ctx, k, np.ones(P.system.q)),
     "apply_Err": lambda k, P: apply_Err(P.ctx, k, np.ones(P.system.q)),
     "gmres.maxit": lambda k, P: gmres(lambda v: v, None, np.ones(3), maxit=k),
