@@ -4,8 +4,9 @@ The package builds a domain-decomposition preconditioner in four stages:
 graph partitioning into an interior/interface block form, threshold ILU of
 the diagonal blocks, a truncated power-series approximation of the inverse
 Schur complement, and an Arnoldi-based low-rank correction that deflates the
-eigenvalues the series cannot handle.  GMRES and CG accelerators plus a
-dense diagnostics oracle round out the library.
+eigenvalues the series cannot handle.  A GMRES accelerator, the one whose
+convergence theory holds for this nonsymmetric preconditioner, and a dense
+diagnostics oracle round out the library.
 
 Importing the package loads no submodule, and so no numpy or scipy: the
 public names below are resolved on first access.  That keeps
@@ -27,7 +28,7 @@ _EXPORTS = {
     "lowrank": ("LowRankCorrection", "CorrectionSingularError", "arnoldi",
                 "build_correction", "apply_correction"),
     "preconditioner": ("PslrConfig", "PslrPreconditioner", "FillStats", "build"),
-    "krylov": ("SolveReport", "NotSpdError", "gmres", "cg"),
+    "krylov": ("SolveReport", "gmres"),
     "problems": ("ProblemSpec", "laplacian3d", "convdiff3d",
                  "count_negative_eigs_analytic"),
     "diagnostics": ("DenseOracle", "SpectrumReport", "dense_schur", "spectrum",

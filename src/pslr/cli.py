@@ -5,9 +5,9 @@ set a run: what is not given takes RunManifest's default.  The right-hand side
 is A x with a seeded random x, and the solve starts from zero.
 
 Exit codes: 0 converged, 1 input/usage error (a bad flag or value included) or
-a build or solve that cannot proceed (CG on a matrix that is not SPD, a
-singular correction core, a Krylov solve stopped by non-finite values, memory
-exhausted), 2 solver failed to converge.
+a build or solve that cannot proceed (a singular correction core, a GMRES
+solve stopped by non-finite values, memory exhausted), 2 solver failed to
+converge.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 from . import preconditioner
 from ._main import _THREAD_VARS
 from .diagnostics import check_dense, spectrum, spectrum_csv
-from .krylov import cg, gmres
+from .krylov import gmres
 from .lowrank import apply_correction
 from .preconditioner import PslrConfig, PslrPreconditioner
 from .problems import parse_problem
@@ -60,13 +60,10 @@ class RunManifest:
     target: str | None = None
 
     def __post_init__(self):
-        # before the build, with the checks GMRES and CG make again for library callers
+        # before the build, with the checks GMRES makes again for library callers
         check_nonnegative(self.tol, "tol")
         check_count(self.maxit, "maxit")
         check_count(self.restart, "restart")
-        if self.krylov == "cg" and self.restart:
-            raise ValueError(f"--restart {self.restart} applies to GMRES only, "
-                             "not --krylov cg")
         for path in (self.out, self.partition_out):   # what the final write would raise
             if path and not os.path.isdir(os.path.dirname(path) or "."):
                 raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
@@ -113,7 +110,8 @@ def _add_run_flags(p: _Parser):
 
 
 def _add_krylov_flags(p: _Parser):
-    p.flag("krylov", choices=("gmres", "cg"))
+    # GMRES is the one accelerator; the flag stays because perfbench/workloads.py passes it
+    p.flag("krylov", choices=("gmres",))
     p.flag("tol", float)
     p.flag("maxit", int)
     p.flag("restart", int, help="GMRES restart length (0 = full)")
@@ -139,17 +137,13 @@ def _config(manifest: RunManifest, **flags) -> PslrConfig:
 
 
 def _solve_with(A, P: PslrPreconditioner, manifest: RunManifest):
-    """Run the accelerator on the reordered system; returns (x, report)."""
+    """Run GMRES on the reordered system; returns (x, report)."""
     b = A @ np.random.default_rng(manifest.seed).standard_normal(A.shape[0])
     perm = P.system.perm
     Ap = P.system.matrix
     bp = b[perm.inverse]
-    apply_A = lambda v: Ap @ v
-    if manifest.krylov == "cg":
-        zp, report = cg(apply_A, P.apply, bp, tol=manifest.tol, maxit=manifest.maxit)
-    else:
-        zp, report = gmres(apply_A, P.apply, bp, tol=manifest.tol,
-                           maxit=manifest.maxit, restart=manifest.restart)
+    zp, report = gmres(lambda v: Ap @ v, P.apply, bp, tol=manifest.tol,
+                       maxit=manifest.maxit, restart=manifest.restart)
     return zp[perm.forward], report
 
 

@@ -1,10 +1,13 @@
-"""Right-preconditioned GMRES, preconditioned CG, and the Arnoldi process.
+"""Right-preconditioned GMRES and the Arnoldi process.
 
-Both solvers keep one contract, held by `_solve`.  They take b as one
-vector, start from x = 0 and return (x, SolveReport).  They solve for b
-scaled by the power of two that brings max|b| into [1/2, 1), so ||b|| can
-neither underflow nor overflow; the scaling is exact, so at ordinary scales
-the iterates are the same to the bit.
+GMRES is the one accelerator: the PSLR preconditioner is not symmetric,
+even for a symmetric A (ILUT's L is not U^T, and the correction's H is
+Hessenberg), so CG's convergence theory does not hold for it.
+
+`gmres` takes b as one vector, starts from x = 0 and returns
+(x, SolveReport).  It solves for b scaled by the power of two that brings
+max|b| into [1/2, 1), so ||b|| can neither underflow nor overflow; the
+scaling is exact, so at ordinary scales the iterates are the same to the bit.
 `history` holds the relative residual of each iterate, 1.0 for x = 0 first,
 so `iterations == len(history) - 1`.  Its last entry, the true-system
 ||b - A x|| / ||b|| of the returned x, is `final_relres`, and `converged`
@@ -16,15 +19,12 @@ iteration, or a solution that overflows when scaled back raises
 
 GMRES is full (unrestarted) unless a restart length is given; each cycle
 runs `arnoldi_steps`, as `lowrank.arnoldi` does, tracks the residual through
-Givens rotations and re-measures it on the true system at its end.  CG stops
-when its recursively updated residual meets `tol` and re-measures it once on
-the true system.
+Givens rotations and re-measures it on the true system at its end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 import time
 
 import numpy as np
@@ -38,10 +38,6 @@ from .sparse import check_count, check_nonnegative
 # is rounding noise: a 40x40 operator of rank 10 leaves 1.9e-13 to 3.2e-12 of
 # it once its Krylov space is exhausted, the pinned workloads 2.3e-2 or more
 BREAKDOWN_RTOL = 1e-10
-
-
-class NotSpdError(ArithmeticError):
-    """CG hit a non-positive curvature direction: matrix not SPD."""
 
 
 @dataclass
@@ -65,32 +61,6 @@ def _unit_scaled(b):
     b = np.asarray(b, dtype=np.float64)
     e = int(np.frexp(np.max(np.abs(b), initial=0.0))[1])
     return np.ldexp(b, -e), e
-
-
-def _solve(name, iterate, apply_A, apply_M, b, tol, maxit):
-    """The contract of the module docstring around `iterate`, a solver's own
-    iteration: iterate(apply_A, apply_M, b, bnorm, tol, maxit) -> (x, history)
-    on the unit-scaled b, called only with bnorm > 0 and tol < 1."""
-    if np.ndim(b) != 1:
-        raise ValueError(f"b must be a vector, got shape {np.shape(b)}")
-    check_nonnegative(tol, "tol")
-    check_count(maxit, "maxit")
-    if apply_M is None:
-        apply_M = _identity
-    t0 = time.perf_counter()
-    b, e = _unit_scaled(b)
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0 or tol >= 1.0:   # x = 0 is the solution or meets tol
-        x, history = np.zeros_like(b), [1.0]
-    else:
-        x, history = iterate(apply_A, apply_M, b, bnorm, tol, maxit)
-    relres = history[-1] if bnorm else 0.0
-    if not np.isfinite(relres):   # whatever stopped the iteration, maxit included
-        raise ArithmeticError(f"{name} diverged: non-finite residual")
-    x = np.ldexp(x, e)
-    if not np.all(np.isfinite(x)):
-        raise ArithmeticError(f"{name} diverged: the solution overflows")
-    return x, SolveReport(bool(relres <= tol), relres, history, time.perf_counter() - t0)
 
 
 def arnoldi_steps(op, v0, steps: int, name: str = "Arnoldi"):
@@ -135,7 +105,7 @@ def arnoldi_steps(op, v0, steps: int, name: str = "Arnoldi"):
             return
 
 
-def _gmres_cycles(restart, apply_A, apply_M, b, bnorm, tol, maxit):
+def _gmres_cycles(apply_A, apply_M, b, bnorm, tol, maxit, restart):
     # the residual of x = 0 is b; each cycle leaves the residual of its x
     x = np.zeros_like(b)
     r, beta, relres = b, bnorm, 1.0
@@ -173,40 +143,27 @@ def _gmres_cycles(restart, apply_A, apply_M, b, bnorm, tol, maxit):
 def gmres(apply_A, apply_M, b, tol: float = 1e-8, maxit: int = 500, restart: int = 0):
     """Solve A x = b with right preconditioning: A M^{-1} u = b, x = M^{-1} u.
 
-    `restart=0` means full GMRES.  Returns (x, SolveReport).
+    `restart=0` means full GMRES.  Returns (x, SolveReport) under the
+    contract of the module docstring.
     """
+    if np.ndim(b) != 1:
+        raise ValueError(f"b must be a vector, got shape {np.shape(b)}")
+    check_nonnegative(tol, "tol")
+    check_count(maxit, "maxit")
     check_count(restart, "restart")
-    return _solve("GMRES", partial(_gmres_cycles, restart), apply_A, apply_M, b, tol, maxit)
-
-
-def _cg_steps(apply_A, apply_M, b, bnorm, tol, maxit):
-    x = np.zeros_like(b)
-    r = b
-    z = apply_M(r)
-    p = z.copy()
-    rz = r @ z
-    history = [1.0]
-    for _ in range(maxit):
-        Ap = apply_A(p)
-        pAp = p @ Ap
-        if pAp <= 0.0:
-            raise NotSpdError("matrix not SPD: non-positive curvature encountered")
-        alpha = rz / pAp
-        x = x + alpha * p
-        r = r - alpha * Ap
-        history.append(np.linalg.norm(r) / bnorm)
-        if not np.isfinite(history[-1]):
-            raise ArithmeticError("CG diverged: non-finite residual")
-        if history[-1] <= tol:
-            break
-        z = apply_M(r)
-        rz_new = r @ z
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    history[-1] = np.linalg.norm(b - apply_A(x)) / bnorm   # the true residual
-    return x, history
-
-
-def cg(apply_A, apply_M, b, tol: float = 1e-8, maxit: int = 500):
-    """Preconditioned conjugate gradient for SPD systems.  Returns (x, SolveReport)."""
-    return _solve("CG", _cg_steps, apply_A, apply_M, b, tol, maxit)
+    if apply_M is None:
+        apply_M = _identity
+    t0 = time.perf_counter()
+    b, e = _unit_scaled(b)
+    bnorm = np.linalg.norm(b)
+    if bnorm == 0.0 or tol >= 1.0:   # x = 0 is the solution or meets tol
+        x, history = np.zeros_like(b), [1.0]
+    else:
+        x, history = _gmres_cycles(apply_A, apply_M, b, bnorm, tol, maxit, restart)
+    relres = history[-1] if bnorm else 0.0
+    if not np.isfinite(relres):   # whatever stopped the iteration, maxit included
+        raise ArithmeticError("GMRES diverged: non-finite residual")
+    x = np.ldexp(x, e)
+    if not np.all(np.isfinite(x)):
+        raise ArithmeticError("GMRES diverged: the solution overflows")
+    return x, SolveReport(bool(relres <= tol), relres, history, time.perf_counter() - t0)

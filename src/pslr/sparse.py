@@ -115,9 +115,9 @@ def permute_symmetric(A, p: Permutation) -> sp.csr_matrix:
     check_square(A)
     if A.shape[0] != len(p):
         raise ValueError(f"permutation over {len(p)} indices, matrix is {A.shape[0]}x{A.shape[0]}")
-    A = canonical(A)
-    out = A[p.inverse][:, p.inverse]
-    return canonical(out)
+    out = canonical(A)[p.inverse][:, p.inverse]
+    out.sum_duplicates()   # in place: the fresh result is no one else's; sorts the indices too
+    return out
 
 
 def extract_submatrix(A, rows, cols) -> sp.csr_matrix:

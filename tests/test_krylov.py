@@ -9,7 +9,7 @@ import pytest
 import scipy.sparse as sp
 
 from pslr import krylov
-from pslr.krylov import NotSpdError, arnoldi_steps, cg, gmres
+from pslr.krylov import arnoldi_steps, gmres
 from pslr.lowrank import arnoldi
 from pslr.preconditioner import PslrConfig, build
 from pslr.problems import parse_problem
@@ -52,34 +52,31 @@ def lap3d_pslr():
     return Ap, P.apply, Ap @ np.random.default_rng(0).standard_normal(Ap.shape[0])
 
 
-class SolverContract:
-    """The promises of the `krylov` module docstring, which `_solve` keeps for
-    both solvers.  TestGmres and TestCg each run every test here, with the
-    solver and problems of their own."""
+class TestGmres:
+    """The promises of the `krylov` module docstring, then GMRES's own."""
 
-    solver = None
-    zero_rhs_size = 0
-    converging = None   # (A, b, tol): a run that meets tol
-    starved = None      # (A, b, tol, maxit): a run that stops at maxit
+    # sparse, so that the residual a test recomputes is the solver's to the bit
+    converging = (sp.csr_matrix(_dense_spd(20, 7)), np.ones(20), 1e-10)
+    # indefinite and badly scaled
+    starved = (lap1d(200).toarray() - 0.5 * np.eye(200), np.ones(200), 1e-14, 5)
 
     def test_zero_rhs(self):
-        n = self.zero_rhs_size
-        x, rep = self.solver(lambda v: v, None, np.zeros(n))
+        x, rep = gmres(lambda v: v, None, np.zeros(4))
         assert rep.converged and rep.iterations == 0
-        np.testing.assert_array_equal(x, np.zeros(n))
+        np.testing.assert_array_equal(x, np.zeros(4))
 
     @pytest.mark.parametrize("tol", [1.0, 2.0])
     def test_tol_of_one_or_more_returns_zero(self, tol):
         # the unit-scaled b is [0.75, 0, 0], of norm 0.75; x = 0 leaves relres 1
         A = np.diag([1.0, 2.0, 3.0])
-        x, rep = self.solver(lambda v: A @ v, None, np.array([0.75, 0.0, 0.0]), tol=tol)
+        x, rep = gmres(lambda v: A @ v, None, np.array([0.75, 0.0, 0.0]), tol=tol)
         assert rep.converged and rep.iterations == 0 and rep.history == [1.0]
         assert rep.final_relres == 1.0
         np.testing.assert_array_equal(x, np.zeros(3))
 
     def test_history_contract(self):
         A, b, tol = self.converging
-        x, rep = self.solver(lambda v: A @ v, None, b, tol=tol)
+        x, rep = gmres(lambda v: A @ v, None, b, tol=tol)
         assert rep.converged
         assert rep.history[0] == 1.0
         assert rep.history[-1] == rep.final_relres
@@ -87,7 +84,7 @@ class SolverContract:
 
     def test_final_relres_is_the_true_residual(self):
         A, b, tol = self.converging
-        x, rep = self.solver(lambda v: A @ v, None, b, tol=tol)
+        x, rep = gmres(lambda v: A @ v, None, b, tol=tol)
         assert rep.final_relres == np.linalg.norm(b - A @ x) / np.linalg.norm(b)
         assert rep.final_relres == rep.history[-1]
 
@@ -95,7 +92,7 @@ class SolverContract:
         # will not converge in maxit iterations, so all of them are run and
         # reported, with one history entry each
         A, b, tol, maxit = self.starved
-        x, rep = self.solver(lambda v: A @ v, None, b, tol=tol, maxit=maxit)
+        x, rep = gmres(lambda v: A @ v, None, b, tol=tol, maxit=maxit)
         assert not rep.converged
         assert rep.iterations == maxit
         assert len(rep.history) == maxit + 1
@@ -105,29 +102,16 @@ class SolverContract:
     @pytest.mark.parametrize("maxit", [3, 500])
     def test_converged_is_a_python_bool(self, maxit):
         A, b, _ = self.converging
-        _, rep = self.solver(lambda v: A @ v, None, b, maxit=maxit)
+        _, rep = gmres(lambda v: A @ v, None, b, maxit=maxit)
         assert type(rep.converged) is bool and rep.converged == (maxit == 500)
 
     @pytest.mark.parametrize("k", [-600, -7, 5, 900])
-    def test_power_of_two_scaling_is_exact(self, scaling_case, k):
-        A, apply_M, b = scaling_case
-        x0, rep0 = self.solver(lambda v: A @ v, apply_M, b)
-        x, rep = self.solver(lambda v: A @ v, apply_M, np.ldexp(b, k))
+    def test_power_of_two_scaling_is_exact(self, lap3d_pslr, k):
+        A, apply_M, b = lap3d_pslr
+        x0, rep0 = gmres(lambda v: A @ v, apply_M, b)
+        x, rep = gmres(lambda v: A @ v, apply_M, np.ldexp(b, k))
         np.testing.assert_array_equal(x, np.ldexp(x0, k))
         assert rep.history == rep0.history
-
-
-class TestGmres(SolverContract):
-    solver = staticmethod(gmres)
-    zero_rhs_size = 4
-    # sparse, so that the residual a test recomputes is the solver's to the bit
-    converging = (sp.csr_matrix(_dense_spd(20, 7)), np.ones(20), 1e-10)
-    # indefinite and badly scaled
-    starved = (lap1d(200).toarray() - 0.5 * np.eye(200), np.ones(200), 1e-14, 5)
-
-    @pytest.fixture
-    def scaling_case(self, lap3d_pslr):
-        return lap3d_pslr
 
     def test_solves_spd_system(self):
         A = _dense_spd(30, 0)
@@ -384,7 +368,7 @@ class TestWorkspace:
             self._assert_same(a, b)
 
 
-@pytest.mark.parametrize("solver", [gmres, cg])
+@pytest.mark.parametrize("solver", [gmres])
 @pytest.mark.parametrize("setting", [{"tol": np.nan}, {"tol": -1e-8}, {"maxit": -1},
                                      {"tol": np.inf}, {"tol": True}, {"tol": 1j}],
                          ids=["tol-nan", "tol-negative", "maxit-negative", "tol-inf", "tol-bool",
@@ -397,7 +381,7 @@ def test_bad_settings_rejected(solver, setting):
 
 # a scalar or None has no rows to solve for, and a block of right-hand sides
 # would fail inside the iteration, each with an error of numpy's
-@pytest.mark.parametrize("solver", [gmres, cg])
+@pytest.mark.parametrize("solver", [gmres])
 @pytest.mark.parametrize("b", [None, 1.0, np.ones((3, 2))], ids=["None", "scalar", "block"])
 def test_non_vector_b_rejected(solver, b):
     with pytest.raises(ValueError, match=re.escape(f"b must be a vector, got shape {np.shape(b)}")):
@@ -422,58 +406,3 @@ class TestNonFinite:
             for _ in steps:
                 pass
         assert len(calls) == 3
-
-
-class TestCg(SolverContract):
-    solver = staticmethod(cg)
-    zero_rhs_size = 3
-    converging = (sp.csr_matrix(_dense_spd(60, 10)), np.ones(60), 1e-10)
-    starved = (lap1d(400), np.ones(400), 1e-14, 10)
-
-    @pytest.fixture
-    def scaling_case(self):
-        return lap1d(100), None, np.ones(100)
-
-    def test_solves_spd(self):
-        A = sp.csr_matrix(_dense_spd(60, 10))
-        rng = np.random.default_rng(11)
-        x_true = rng.standard_normal(60)
-        b = A @ x_true
-        x, rep = cg(lambda v: A @ v, None, b, tol=1e-10)
-        assert rep.converged
-        assert np.linalg.norm(x - x_true) <= 1e-6 * np.linalg.norm(x_true)
-
-    def test_jacobi_preconditioner_helps(self):
-        A = lap1d(300).toarray() + np.diag(np.linspace(0, 10, 300))
-        b = np.ones(300)
-        x0, rep0 = cg(lambda v: A @ v, None, b)
-        d = 1.0 / np.diag(A)
-        x1, rep1 = cg(lambda v: A @ v, lambda v: d * v, b)
-        assert rep1.converged
-        assert rep1.iterations <= rep0.iterations
-
-    def test_indefinite_raises(self):
-        A = np.diag([1.0, -1.0, 2.0])
-        with pytest.raises(NotSpdError):
-            cg(lambda v: A @ v, None, np.ones(3))
-
-    def test_non_finite_residual_raises(self):
-        calls = []
-
-        def apply_nan(v):
-            calls.append(1)
-            return np.full_like(v, np.nan)
-
-        with pytest.raises(ArithmeticError):
-            cg(apply_nan, None, np.ones(3))
-        assert len(calls) == 1   # at the first non-finite residual, not after maxit
-
-    @pytest.mark.parametrize("b_scale", [1e-170, 1e160])
-    def test_scale_does_not_change_the_iteration(self, b_scale):
-        _, A = parse_problem("lap3d:8,8,8,0")
-        b = A @ np.random.default_rng(0).standard_normal(A.shape[0])
-        x0, rep0 = cg(lambda v: A @ v, None, b)
-        x, rep = cg(lambda v: A @ v, None, b_scale * b)
-        assert rep0.converged and rep0.iterations > 10
-        assert rep.converged and rep.iterations == rep0.iterations
-        np.testing.assert_allclose(x / b_scale, x0, rtol=1e-6)

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 
 from pslr.diagnostics import dense_schur, spectrum
 from pslr.ilu import block_solve, factor_blocks, ilut
-from pslr.krylov import cg, gmres
+from pslr.krylov import gmres
 from pslr.lowrank import apply_correction, arnoldi, build_correction
 from pslr.partition import classify_and_reorder, partition_graph
 from pslr.preconditioner import PslrConfig, build
@@ -160,7 +160,6 @@ _COUNT_ENTRIES = {
     "apply_Err": lambda k, P: apply_Err(P.ctx, k, np.ones(P.system.q)),
     "gmres.maxit": lambda k, P: gmres(lambda v: v, None, np.ones(3), maxit=k),
     "gmres.restart": lambda k, P: gmres(lambda v: v, None, np.ones(3), restart=k),
-    "cg.maxit": lambda k, P: cg(lambda v: v, None, np.ones(3), maxit=k),
 }
 
 
