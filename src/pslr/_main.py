@@ -1,11 +1,13 @@
-"""Launcher behind the ``pslr`` console script and ``python -m pslr``.
+"""Launcher behind the ``pslr`` console script and ``python -m pslr``, the one launch path.
 
 Kept free of numpy/scipy imports, as is the package ``__init__``, so that a
 ``--threads`` request can export the standard BLAS thread-count variables
 before the BLAS runtime is loaded; once numpy is imported the pool size is
 fixed.  Under a finite address-space limit (RLIMIT_AS) and with no
 ``--threads`` given, it exports 1: an OpenBLAS thread whose allocation fails
-under the limit can hang instead of exiting.
+under the limit can hang instead of exiting.  This module alone holds that
+rule: ``cli.main``, called in-process, only warns through
+`warn_unapplied_threads`, and ``pslr/cli.py`` run as a script refuses to run.
 """
 
 import os
@@ -32,6 +34,18 @@ def _peek_threads(args):
         return int(value) if value is not None else None
     except ValueError:
         return 0
+
+
+def warn_unapplied_threads(threads: int):
+    """Say so when a --threads request cannot reach the BLAS pool.
+
+    Only this launcher exports the thread-count variables before numpy
+    loads; called any other way, the request is recorded in the manifest but
+    the pool keeps its size.
+    """
+    if threads > 0 and any(os.environ.get(v) != str(threads) for v in _THREAD_VARS):
+        print(f"warning: --threads {threads} is recorded but not applied; only `pslr` "
+              "and `python -m pslr` size the BLAS pool before numpy loads", file=sys.stderr)
 
 
 def main(argv=None) -> int:

@@ -4,6 +4,9 @@ Each subcommand accepts only the flags it reads, and flags are the only way to
 set a run: what is not given takes RunManifest's default.  The right-hand side
 is A x with a seeded random x, and the solve starts from zero.
 
+It runs through the launcher, `pslr` or `python -m pslr` (see `_main`), or
+in-process through `main`; run as a script, it exits 1 and reads nothing.
+
 Exit codes: 0 converged, 1 input/usage error (a bad flag or value included) or
 a build or solve that cannot proceed (a singular correction core, a GMRES
 solve stopped by non-finite values, memory exhausted), 2 solver failed to
@@ -22,7 +25,7 @@ from dataclasses import dataclass, asdict, field, replace
 import numpy as np
 
 from . import preconditioner
-from ._main import _THREAD_VARS
+from ._main import warn_unapplied_threads
 from .diagnostics import check_dense, spectrum, spectrum_csv
 from .krylov import gmres
 from .lowrank import apply_correction
@@ -67,6 +70,8 @@ class RunManifest:
         for path in (self.out, self.partition_out):   # what the final write would raise
             if path and not os.path.isdir(os.path.dirname(path) or "."):
                 raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+            if path and os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -270,21 +275,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _warn_unapplied_threads(threads: int):
-    """Say so when a --threads request cannot reach the BLAS pool.
-
-    Only the launcher (`pslr`, `python -m pslr`) exports the thread-count
-    variables before numpy loads; called any other way, the request is
-    recorded in the manifest but the pool keeps its size.
-    """
-    if threads > 0 and any(os.environ.get(v) != str(threads) for v in _THREAD_VARS):
-        print(f"warning: --threads {threads} is recorded but not applied; only `pslr` "
-              "and `python -m pslr` size the BLAS pool before numpy loads", file=sys.stderr)
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    _warn_unapplied_threads(args.threads)
+    warn_unapplied_threads(args.threads)
     handler = {"solve": cmd_solve, "sweep": cmd_sweep, "spectrum": cmd_spectrum}[args.command]
     try:   # numpy stays silent: what it would warn of, an explicit check reports in one line
         with np.errstate(all="ignore"):
@@ -294,5 +287,5 @@ def main(argv=None) -> int:
         return 1
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+if __name__ == "__main__":   # a second launch path would skip the launcher's thread rule
+    sys.exit("error: pslr/cli.py is not a launch path; run `pslr` or `python -m pslr`")

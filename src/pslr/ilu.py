@@ -90,14 +90,22 @@ def ilut(block, droptol: float = 1e-2) -> IluFactor:
     multiplier a_ik / u_kk, which has no units, is dropped below
     droptol * ||a_i||, which has the block's.  On lap3d 10^3 with shift 0.3,
     `pslr solve --s 4 --m 2 --rank 5` has fill_total 1.20 for A, 0.80 for
-    1e10 * A and 2.19 for 1e-10 * A.
+    1e10 * A and 2.19 for 1e-10 * A.  The dependence saturates, once every
+    multiplier is dropped or none is: ||a_i|| is neither inf nor 0 for a
+    finite row, so 1e200 * A gives 0.80 too, and 1e-200 * A 2.19.
     """
     check_square(block, "block")
     A = canonical(block)
     n = A.shape[0]
     check_nonnegative(droptol, "droptol")
 
-    row_norms = np.sqrt(np.asarray(A.multiply(A).sum(axis=1)).ravel()).tolist()
+    # each row's 2-norm, on the row scaled by the power of two of its largest
+    # entry and then scaled back: both exact, and no square over- or underflows
+    # (an empty row's maximum reads a later entry or the 0 appended, and scales none)
+    e = np.frexp(np.maximum.reduceat(np.abs(np.append(A.data, 0.0)), A.indptr[:-1]))[1]
+    R = sp.csr_matrix((np.ldexp(A.data, -np.repeat(e, np.diff(A.indptr))), A.indices, A.indptr),
+                      shape=A.shape)
+    row_norms = np.ldexp(np.sqrt(np.asarray(R.multiply(R).sum(axis=1)).ravel()), e).tolist()
     a_ptr, a_idx, a_val = A.indptr.tolist(), A.indices.tolist(), A.data.tolist()
 
     # finished U rows: diagonal, then (column, value) pairs after it

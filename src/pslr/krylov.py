@@ -8,6 +8,8 @@ Hessenberg), so CG's convergence theory does not hold for it.
 (x, SolveReport).  It solves for b scaled by the power of two that brings
 max|b| into [1/2, 1), so ||b|| can neither underflow nor overflow; the
 scaling is exact, so at ordinary scales the iterates are the same to the bit.
+The Arnoldi norms are rescaled the same way (`_norm`) once they leave
+2**+-400, so no operator scale within the float range stops the iteration.
 `history` holds the relative residual of each iterate, 1.0 for x = 0 first,
 so `iterations == len(history) - 1`.  Its last entry, the true-system
 ||b - A x|| / ||b|| of the returned x, is `final_relres`, and `converged`
@@ -56,11 +58,24 @@ def _identity(v):
     return v
 
 
+def _exponent(x) -> int:
+    """The e for which max|x * 2**-e| is in [1/2, 1); 0 for a zero x."""
+    return int(np.frexp(np.max(np.abs(x), initial=0.0))[1])
+
+
 def _unit_scaled(b):
-    """(b * 2**-e, e), with e chosen so that max|b * 2**-e| is in [1/2, 1)."""
+    """(b * 2**-e, e), with e = _exponent(b)."""
     b = np.asarray(b, dtype=np.float64)
-    e = int(np.frexp(np.max(np.abs(b), initial=0.0))[1])
+    e = _exponent(b)
     return np.ldexp(b, -e), e
+
+
+def _norm(x):
+    """||x||, neither overflowing nor underflowing: the plain norm while max|x|
+    is within [2**-401, 2**400), else the norm of x * 2**-e, times 2**e, with
+    e = _exponent(x); both scalings are exact."""
+    e = _exponent(x)
+    return np.linalg.norm(x) if abs(e) <= 400 else np.ldexp(np.linalg.norm(np.ldexp(x, -e)), e)
 
 
 def arnoldi_steps(op, v0, steps: int, name: str = "Arnoldi"):
@@ -85,18 +100,18 @@ def arnoldi_steps(op, v0, steps: int, name: str = "Arnoldi"):
     columns of.
     """
     V = np.empty((v0.shape[0], steps), order="F")
-    w, hnext = v0, np.linalg.norm(v0)
+    w, hnext = v0, _norm(v0)
     opnorm = 0.0
     for j in range(steps):
         V[:, j] = w / hnext
         w = np.asarray(op(V[:, j]), dtype=np.float64)
-        opnorm = max(opnorm, np.linalg.norm(w))
+        opnorm = max(opnorm, _norm(w))
         basis = V[:, :j + 1]
         h = basis.T @ w
         w = w - basis @ h
         h2 = basis.T @ w
         w = w - basis @ h2
-        hnext = np.linalg.norm(w)
+        hnext = _norm(w)
         if not np.isfinite(hnext):
             raise ArithmeticError(f"{name} diverged: non-finite values in the recurrence")
         breakdown = hnext <= BREAKDOWN_RTOL * opnorm

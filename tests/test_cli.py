@@ -33,6 +33,14 @@ def run_solve(tmp_path, *extra):
     return code, json.loads(out.read_text()) if out.exists() else None
 
 
+# every flag that names an output path, on each subcommand that reads it
+OUTPUT_FLAGS = pytest.mark.parametrize("command", [
+    ["solve", "--out"], ["solve", "--partition-out"],
+    ["sweep", "--axis", "rank", "--values", "0", "--out"],
+    ["spectrum", "--target", "Err", "--out"],
+], ids=["solve-out", "solve-partition-out", "sweep-out", "spectrum-out"])
+
+
 class TestSolve:
     def test_converged_run(self, tmp_path):
         code, stats = run_solve(tmp_path)
@@ -320,11 +328,7 @@ class TestSolve:
             assert captured.err.startswith("error:") and captured.err.count("\n") == 1, captured
             assert captured.out == ""
 
-    @pytest.mark.parametrize("command", [
-        ["solve", "--out"], ["solve", "--partition-out"],
-        ["sweep", "--axis", "rank", "--values", "0", "--out"],
-        ["spectrum", "--target", "Err", "--out"],
-    ], ids=["solve-out", "solve-partition-out", "sweep-out", "spectrum-out"])
+    @OUTPUT_FLAGS
     def test_missing_output_directory_is_an_error(self, capsys, monkeypatch, tmp_path, command):
         # rejected before the matrix is read, with the message the write would give
         def not_read(manifest):
@@ -333,6 +337,17 @@ class TestSolve:
         path = str(tmp_path / "missing" / "result")
         assert main([*command, path, "--problem", PROBLEM]) == 1
         assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{path}'\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @OUTPUT_FLAGS
+    def test_output_path_that_is_a_directory_is_an_error(self, capsys, monkeypatch, tmp_path,
+                                                         command):
+        # rejected before the matrix is read, with the message the write would give
+        def not_read(manifest):
+            raise AssertionError("matrix read before the output path was checked")
+        monkeypatch.setattr(pslr.cli, "_load_matrix", not_read)
+        assert main([*command, str(tmp_path), "--problem", PROBLEM]) == 1
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("rank", ["0", "3"])
@@ -697,6 +712,16 @@ def test_launcher_loads_no_numpy():
     proc = _run_child(["-c", "import sys, pslr._main; print('numpy' in sys.modules)"])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_cli_module_is_not_a_launch_path():
+    """Run as a script, the cli would skip the launcher and its BLAS-thread
+    rule, so it refuses, with one line that names the launcher, and does no work."""
+    proc = _run_child(["-m", "pslr.cli", "solve", "--problem", "lap3d:6,6,6,0.05", "--s", "4"])
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
+    assert "`pslr`" in proc.stderr and "`python -m pslr`" in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_console_entry_point():

@@ -22,7 +22,8 @@ from conftest import child_env, lap1d, partitioned, random_sparse, sparse_matric
 def _reference_ilut(block, droptol: float = 1e-2) -> IluFactor:
     """The numpy-per-pivot ILUT that `ilut` replaced, kept as its oracle.
 
-    Only its pivot repair at droptol 0 has changed since, with `ilut`'s."""
+    Only its pivot repair at droptol 0 and its row norms, taken without
+    over- or underflow, have changed since, with `ilut`'s."""
     A = canonical(block)
     if A.shape[0] != A.shape[1]:
         raise ValueError("block must be square")
@@ -33,7 +34,18 @@ def _reference_ilut(block, droptol: float = 1e-2) -> IluFactor:
         empty = sp.csr_matrix((0, 0))
         return IluFactor(L=empty, U=empty.copy(), n=0, pivot_repairs=0)
 
-    row_norms = np.sqrt(np.asarray(A.multiply(A).sum(axis=1)).ravel())
+    # each row's 2-norm, as `ilut` takes it: on the row scaled by the power of
+    # two of its largest entry, its nonzero squares summed in the order of
+    # scipy's row sums (`np.add.reduceat`, not `np.add.reduce`), then scaled back
+    row_norms = np.zeros(n)
+    for i in range(n):
+        vals = A.data[A.indptr[i]:A.indptr[i + 1]]
+        if vals.size:
+            e = np.frexp(np.max(np.abs(vals)))[1]
+            squares = np.ldexp(vals, -e) ** 2
+            squares = squares[squares != 0]
+            if squares.size:
+                row_norms[i] = np.ldexp(np.sqrt(np.add.reduceat(squares, [0])[0]), e)
 
     # U rows kept as growing arrays for the elimination updates
     u_cols: list[np.ndarray] = [None] * n
@@ -262,6 +274,20 @@ class TestIlut:
             errs.append(np.linalg.norm(xhat - x) / np.linalg.norm(x))
         assert errs[2] <= 1e-10
         assert errs[2] <= errs[1] <= errs[0] * 1.001
+
+    @pytest.mark.parametrize("k_small_scale,k_large_scale", [(400, 520), (-400, -600)])
+    def test_drop_scale_saturates(self, k_small_scale, k_large_scale):
+        # droptol * ||a_i|| has the block's units, so the pattern depends on
+        # its scale, but only until every multiplier is dropped, or none is:
+        # a row's squares overflow past 2**511 and underflow below 2**-537,
+        # and must not turn ||a_i|| into inf or 0
+        _, B = parse_problem("lap3d:6,6,6,0.3")
+        small, large = (ilut(B * 2.0 ** k, droptol=1e-2) for k in (k_small_scale, k_large_scale))
+        for F, G in ((small.L, large.L), (small.U, large.U)):
+            np.testing.assert_array_equal(F.indptr, G.indptr)
+            np.testing.assert_array_equal(F.indices, G.indices)
+        np.testing.assert_array_equal(small.L.data, large.L.data)
+        assert small.pivot_repairs == large.pivot_repairs == 0
 
     def test_empty_block(self):
         f = ilut(sp.csr_matrix((0, 0)), droptol=1e-2)
