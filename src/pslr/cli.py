@@ -8,9 +8,9 @@ It runs through the launcher, `pslr` or `python -m pslr` (see `_main`), or
 in-process through `main`; run as a script, it exits 1 and reads nothing.
 
 Exit codes: 0 converged, 1 input/usage error (a bad flag or value included) or
-a build or solve that cannot proceed (a singular correction core, a GMRES
-solve stopped by non-finite values, memory exhausted), 2 solver failed to
-converge.
+a build or solve that cannot proceed (a singular correction core, a
+preconditioner apply that gives non-finite values, a GMRES solve stopped by
+non-finite values, memory exhausted), 2 solver failed to converge.
 """
 
 from __future__ import annotations
@@ -63,10 +63,11 @@ class RunManifest:
     target: str | None = None
 
     def __post_init__(self):
-        # before the build, with the checks GMRES makes again for library callers
+        # before the build; GMRES makes the tol, maxit and restart checks again for library callers
         check_nonnegative(self.tol, "tol")
         check_count(self.maxit, "maxit")
         check_count(self.restart, "restart")
+        check_count(self.threads, "threads")
         for path in (self.out, self.partition_out):   # what the final write would raise
             if path and not os.path.isdir(os.path.dirname(path) or "."):
                 raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
@@ -89,12 +90,6 @@ class _Parser(argparse.ArgumentParser):
         self.add_argument("--" + name, type=type, default=default, **kwargs)
 
 
-def nonnegative_int(text) -> int:
-    """int(text), rejected below 0; argparse names the type in its message."""
-    check_count(value := int(text), "value")
-    return value
-
-
 def int_list(text) -> list[int]:
     """Comma-separated ints; argparse names the type in its message."""
     return [int(t) for t in text.split(",")]
@@ -109,8 +104,8 @@ def _add_run_flags(p: _Parser):
     p.flag("rank", int, help="low-rank correction rank")
     p.flag("droptol", float)
     p.flag("seed", int)
-    p.flag("threads", nonnegative_int, help="BLAS threads (0 = hardware default); applied by "
-                                            "`pslr` and `python -m pslr`, before numpy loads")
+    p.flag("threads", int, help="BLAS threads (0 = hardware default); applied by "
+                               "`pslr` and `python -m pslr`, before numpy loads")
     p.flag("out", help="output path (JSON for solve, CSV for sweep/spectrum)")
 
 

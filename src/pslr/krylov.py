@@ -10,14 +10,15 @@ max|b| into [1/2, 1), so ||b|| can neither underflow nor overflow; the
 scaling is exact, so at ordinary scales the iterates are the same to the bit.
 The Arnoldi norms are rescaled the same way (`_norm`) once they leave
 2**+-400, so no operator scale within the float range stops the iteration.
-`history` holds the relative residual of each iterate, 1.0 for x = 0 first,
-so `iterations == len(history) - 1`.  Its last entry, the true-system
+`history` holds the relative residual of each iterate, x = 0 first, so
+`iterations == len(history) - 1`.  Its last entry, the true-system
 ||b - A x|| / ||b|| of the returned x, is `final_relres`, and `converged`
-says whether that meets `tol`.  A zero b, or a `tol` of 1 or more, which
-x = 0 already meets, returns x = 0 after 0 iterations; a zero b reports a
-`final_relres` of 0.0.  A non-finite final residual, whatever stopped the
-iteration, or a solution that overflows when scaled back raises
-`ArithmeticError`.
+says whether that meets `tol`.  A zero b, which x = 0 solves, records
+history [0.0]; a `tol` of 1 or more, which x = 0 already meets, records
+[1.0].  Both return x = 0 after 0 iterations.  A non-finite final residual,
+whatever stopped the iteration, or a solution that overflows when scaled
+back raises `ArithmeticError`; `PslrPreconditioner.apply` raises one itself
+on a non-finite output, before GMRES sees it.
 
 GMRES is full (unrestarted) unless a restart length is given; each cycle
 runs `arnoldi_steps`, as `lowrank.arnoldi` does, tracks the residual through
@@ -45,13 +46,16 @@ BREAKDOWN_RTOL = 1e-10
 @dataclass
 class SolveReport:
     converged: bool
-    final_relres: float
-    history: list   # relative residuals: 1.0, then one per iteration
+    history: list   # relative residuals: that of x = 0, then one per iteration
     time_s: float
 
     @property
     def iterations(self) -> int:
         return len(self.history) - 1
+
+    @property
+    def final_relres(self) -> float:
+        return self.history[-1]
 
 
 def _identity(v):
@@ -61,13 +65,6 @@ def _identity(v):
 def _exponent(x) -> int:
     """The e for which max|x * 2**-e| is in [1/2, 1); 0 for a zero x."""
     return int(np.frexp(np.max(np.abs(x), initial=0.0))[1])
-
-
-def _unit_scaled(b):
-    """(b * 2**-e, e), with e = _exponent(b)."""
-    b = np.asarray(b, dtype=np.float64)
-    e = _exponent(b)
-    return np.ldexp(b, -e), e
 
 
 def _norm(x):
@@ -169,16 +166,17 @@ def gmres(apply_A, apply_M, b, tol: float = 1e-8, maxit: int = 500, restart: int
     if apply_M is None:
         apply_M = _identity
     t0 = time.perf_counter()
-    b, e = _unit_scaled(b)
+    b = np.asarray(b, dtype=np.float64)   # np.ldexp would keep a float32 b in float32
+    e = _exponent(b)
+    b = np.ldexp(b, -e)
     bnorm = np.linalg.norm(b)
-    if bnorm == 0.0 or tol >= 1.0:   # x = 0 is the solution or meets tol
-        x, history = np.zeros_like(b), [1.0]
+    if bnorm == 0.0:   # x = 0 is the solution
+        x, history = np.zeros_like(b), [0.0]
     else:
         x, history = _gmres_cycles(apply_A, apply_M, b, bnorm, tol, maxit, restart)
-    relres = history[-1] if bnorm else 0.0
-    if not np.isfinite(relres):   # whatever stopped the iteration, maxit included
+    if not np.isfinite(history[-1]):   # whatever stopped the iteration, maxit included
         raise ArithmeticError("GMRES diverged: non-finite residual")
     x = np.ldexp(x, e)
     if not np.all(np.isfinite(x)):
         raise ArithmeticError("GMRES diverged: the solution overflows")
-    return x, SolveReport(bool(relres <= tol), relres, history, time.perf_counter() - t0)
+    return x, SolveReport(bool(history[-1] <= tol), history, time.perf_counter() - t0)

@@ -118,17 +118,21 @@ class PslrPreconditioner:
                                   stage_s._replace(core=time.perf_counter() - t0))
 
     def apply(self, b) -> np.ndarray:
-        """z = PSLR(b) in reordered space."""
+        """z = PSLR(b) in reordered space; a non-finite z raises `ArithmeticError`,
+        as a finite but nearly singular A can overflow the solves."""
         b = as_rows(b, self.system.n)
         p = self.system.p
         f, g = b[:p], b[p:]
         if self.system.q == 0:   # saves the B solve that F, with no rows, would discard
-            return solve_B(self.ctx, f)
-        y = g - self.system.F @ solve_B(self.ctx, f)
-        y = apply_correction(self.correction, y)
-        y = apply_neumann(self.ctx, self.config.series_degree, y)
-        x = solve_B(self.ctx, f - self.system.E @ y)
-        return np.concatenate([x, y])
+            z = solve_B(self.ctx, f)
+        else:
+            y = g - self.system.F @ solve_B(self.ctx, f)
+            y = apply_correction(self.correction, y)
+            y = apply_neumann(self.ctx, self.config.series_degree, y)
+            z = np.concatenate([solve_B(self.ctx, f - self.system.E @ y), y])
+        if not np.isfinite(z).all():
+            raise ArithmeticError("preconditioner diverged: its apply gave non-finite values")
+        return z
 
     def apply_original(self, b) -> np.ndarray:
         """Apply in original (unreordered) index space."""

@@ -169,7 +169,7 @@ class TestSolve:
 
     def test_diverging_solve_is_an_error(self, tmp_path, capsys):
         # pivots of 1e-196 and 1e-115 beside entries of 3e8: the
-        # preconditioner overflows, and GMRES stops on the non-finite values
+        # preconditioner's apply overflows, and raises on the non-finite values
         mtx = tmp_path / "overflow.mtx"
         mtx.write_text("%%MatrixMarket matrix coordinate real general\n6 6 6\n"
                        "1 1 2.6195489410610631e-196\n1 6 -300000000\n2 2 -300000000\n"
@@ -180,7 +180,7 @@ class TestSolve:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
-        assert "GMRES diverged" in err
+        assert "preconditioner diverged" in err
 
     def test_overflowing_series_residual_is_an_error(self, tmp_path, capsys):
         # diagonal 1e-6 beside off-diagonals of -1: at m=3 the Arnoldi H
@@ -303,13 +303,14 @@ class TestSolve:
         ["--rank", "-1"],
         ["--seed", "-1"],
         ["--droptol", "-1"],
+        ["--threads", "-3"],
         ["--axis", "m", "--values", "3,-1"],
         ["--axis", "rank", "--values", "30,-1"],
         ["--axis", "s", "--values", "4,0"],
     ], ids=["droptol-nan", "droptol-inf", "tol-nan", "tol-negative", "maxit-negative",
             "restart-negative", "tol-inf", "s-zero",
             "m-negative", "rank-negative", "seed-negative", "droptol-negative",
-            "m-values", "rank-values", "s-values"])
+            "threads-negative", "m-values", "rank-values", "s-values"])
     def test_bad_setting_is_an_error(self, capsys, monkeypatch, args):
         # rejected before the matrix is read, on every subcommand that reads the setting
         def not_read(manifest):
@@ -320,7 +321,7 @@ class TestSolve:
         else:   # a rank sweep does not read --rank, nor an m sweep --m
             axis = "m" if args[0] == "--rank" else "rank"
             commands = [["solve"], ["sweep", "--axis", axis, "--values", "0"]]
-            if args[0] in ("--s", "--m", "--rank", "--seed", "--droptol"):
+            if args[0] in ("--s", "--m", "--rank", "--seed", "--droptol", "--threads"):
                 commands.append(["spectrum", "--target", "precS"])
         for command in commands:
             assert main([*command, "--problem", PROBLEM, "--s", "4", *args]) == 1
@@ -364,10 +365,8 @@ class TestSolve:
         assert err.startswith("error:") and err.count("\n") == 1 and "integer" in err
 
     @pytest.mark.parametrize("args", [["--s", "abc"], ["--krylov", "bogus"], ["--thread", "1"],
-                                      ["--threads", "-3"],
                                       ["--axis", "s", "--values", "1,,2"]],
-                             ids=["flag", "krylov-choice", "abbreviated-flag",
-                                  "threads-negative", "sweep-values"])
+                             ids=["flag", "krylov-choice", "abbreviated-flag", "sweep-values"])
     def test_bad_value_is_a_usage_error(self, capsys, args):
         command = "sweep" if "--axis" in args else "solve"
         err = assert_usage_error(capsys, [command, "--problem", PROBLEM, *args])
@@ -782,6 +781,33 @@ class TestThreadsWarning:
             assert "RLIMIT_AS" in err and "--threads" in err
         else:
             assert err == ""
+
+    @staticmethod
+    def _environ_without_thread_vars(monkeypatch):
+        """Give the launcher, which writes os.environ, a copy without the thread variables."""
+        from pslr._main import _THREAD_VARS
+        monkeypatch.setattr(os, "environ", {k: v for k, v in os.environ.items()
+                                            if k not in _THREAD_VARS})
+        return _THREAD_VARS
+
+    def test_launcher_reads_threads_with_equals(self, tmp_path, monkeypatch, capsys):
+        from pslr._main import main as launch
+        thread_vars = self._environ_without_thread_vars(monkeypatch)
+        out = tmp_path / "o.json"
+        assert launch([*self.ARGS, "--threads=2", "--out", str(out)]) == 0
+        assert [os.environ.get(var) for var in thread_vars] == ["2"] * 4
+        assert capsys.readouterr().err == ""
+        assert json.loads(out.read_text())["manifest"]["threads"] == 2
+
+    def test_launcher_non_integer_threads_is_a_usage_error(self, monkeypatch, capsys):
+        from pslr._main import main as launch
+        thread_vars = self._environ_without_thread_vars(monkeypatch)
+        with pytest.raises(SystemExit) as exc:
+            launch([*self.ARGS, "--threads", "abc"])
+        assert exc.value.code == 1
+        assert [os.environ.get(var) for var in thread_vars] == [None] * 4
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "--threads" in err, err
 
     def test_launcher_request_is_silent(self, tmp_path):
         out = tmp_path / "o.json"

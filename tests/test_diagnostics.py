@@ -11,6 +11,7 @@ from pslr.diagnostics import (
     verify_bound,
 )
 from pslr.lowrank import arnoldi, build_correction
+from pslr.partition import classify_and_reorder
 from pslr.problems import ProblemSpec, laplacian3d
 
 from conftest import lap1d, partitioned, random_sparse
@@ -89,7 +90,7 @@ class TestDenseSchur:
             dense_schur(ps)
 
     def test_singular_B_raises(self):
-        # two decoupled singular 2x2 interior blocks around one interface
+        # vertices 0 and 1 are the interiors, so B is the singular [[1, 1], [1, 1]]
         A = sp.csr_matrix(np.array([
             [1., 1, 0, 1, 0],
             [1, 1, 0, 0, 0],
@@ -97,10 +98,10 @@ class TestDenseSchur:
             [1, 0, 1, 5, 1],
             [0, 0, 0, 1, 1],
         ]))
-        ps = partitioned(A, 2)
-        if np.linalg.matrix_rank(ps.B.toarray()) < ps.p:
-            with pytest.raises(np.linalg.LinAlgError):
-                dense_schur(ps)
+        ps = classify_and_reorder(A, np.array([0, 0, 1, 0, 1]))
+        np.testing.assert_array_equal(ps.B.toarray(), [[1., 1], [1, 1]])
+        with pytest.raises(np.linalg.LinAlgError, match="interior block B is singular"):
+            dense_schur(ps)
 
 
 class TestSpectrum:

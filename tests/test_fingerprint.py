@@ -43,3 +43,15 @@ def test_matrix_market_file_gives_the_problem_fingerprint(tmp_path, capsys):
 def test_wrong_arguments_print_the_usage(capsys):
     assert fingerprint.main(ARGS[:4]) == 1
     assert "PROBLEM S M RANK DROPTOL" in capsys.readouterr().err
+
+
+def test_workload_name_gives_its_settings_fingerprint(capsys):
+    assert fingerprint.main(["tiny-solve"]) == 0
+    by_name = capsys.readouterr().out
+    assert fingerprint.main(["lap3d:6,6,6,0.05", "4", "2", "3", "0.01"]) == 0
+    assert capsys.readouterr().out == by_name
+
+
+def test_unknown_workload_prints_the_usage(capsys):
+    assert fingerprint.main(["no-such-workload"]) == 1
+    assert "WORKLOAD" in capsys.readouterr().err

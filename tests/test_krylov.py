@@ -65,6 +65,11 @@ class TestGmres:
         assert rep.converged and rep.iterations == 0
         np.testing.assert_array_equal(x, np.zeros(4))
 
+    def test_zero_rhs_records_a_zero_residual(self):
+        # x = 0 solves a zero b, so its one history entry is 0.0, and is final_relres
+        _, rep = gmres(lambda v: v, None, np.zeros(4))
+        assert rep.history == [0.0] and rep.final_relres == 0.0
+
     @pytest.mark.parametrize("tol", [1.0, 2.0])
     def test_tol_of_one_or_more_returns_zero(self, tol):
         # the unit-scaled b is [0.75, 0, 0], of norm 0.75; x = 0 leaves relres 1

@@ -122,6 +122,18 @@ class TestApply:
         with pytest.raises(ValueError):
             P.apply(np.ones(11))
 
+    def test_overflowing_apply_raises(self):
+        # finite but nearly singular: pivots of 1e-196 and 1e-115 beside entries
+        # of 3e8.  It builds with no interface rows, and the B solve overflows
+        rows, cols = [0, 0, 1, 2, 5, 5], [0, 5, 1, 2, 2, 5]
+        vals = [2.6195489410610631e-196, -3e8, -3e8, 2e8, 3e8, -5.1349076380786693e-115]
+        A = sp.csr_matrix((vals, (rows, cols)), shape=(6, 6))
+        P = build(A, PslrConfig(num_subdomains=2, series_degree=0, rank=0, droptol=1e-2))
+        assert P.system.q == 0
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ArithmeticError, match="preconditioner diverged"):
+            P.apply(np.full(6, 0.74))
+
 
 def _count_block_solves(monkeypatch, ctx):
     """Count the B and C0 block solves made through `pslr.schur`, told apart

@@ -1,6 +1,7 @@
 """Print a fingerprint of one pslr build and solve, to check a change keeps the bits.
 
     PYTHONPATH=src python tools/fingerprint.py PROBLEM S M RANK DROPTOL
+    PYTHONPATH=src python tools/fingerprint.py WORKLOAD
 
 builds the preconditioner for the problem string (as `pslr solve --problem`),
 or for the Matrix Market file when PROBLEM names an existing file (as
@@ -14,21 +15,27 @@ residual history, and then `its`, `fill_total`, `pivot_repairs` and
 `final_relres`.  Two commits that print the same line computed the same
 partition, factors, correction and iterates to the bit.
 
-For example, the settings of the benchmark's `l32-indefinite` workload:
+WORKLOAD names one of the benchmark's pinned workloads in
+`perfbench/workloads.py` and stands for its problem, s, m, rank and
+droptol.  For example, the benchmark's `l32-indefinite` workload:
 
-    PYTHONPATH=src python tools/fingerprint.py lap3d:32,32,32,0.16 35 3 15 1e-2
+    PYTHONPATH=src python tools/fingerprint.py l32-indefinite
 """
 
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 
 from pslr import cli, preconditioner
+
+WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
 def digest(a) -> str:
@@ -60,7 +67,19 @@ def fingerprint(problem: str, s: int, m: int, rank: int, droptol: float) -> dict
     return out
 
 
+def workloads() -> dict:
+    """The benchmark's `WORKLOADS`, loaded from its file: perfbench is no package."""
+    spec = importlib.util.spec_from_file_location("workloads", WORKLOADS_PY)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module   # where its dataclass looks up its own module
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
 def main(argv: list[str]) -> int:
+    if len(argv) == 1 and argv[0] in (pinned := workloads()):
+        w = pinned[argv[0]]
+        argv = [w.problem, w.s, w.m, w.rank, w.droptol]
     if len(argv) != 5:
         print(__doc__.strip(), file=sys.stderr)
         return 1
